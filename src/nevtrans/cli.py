@@ -95,6 +95,13 @@ def _load_text(path: str) -> str:
         _fail(EXIT_PARSE, f"cannot read {path}: {exc}")
 
 
+def _load_jacobi(path: str) -> BlockJacobi:
+    try:
+        return BlockJacobi.from_json(_load_text(path))
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        _fail(EXIT_PARSE, f"invalid Jacobi JSON: {exc}")
+
+
 def _write_text(path, text: str):
     if path is None or path == "-":
         click.echo(text, nl=False)
@@ -123,10 +130,7 @@ def cmd_mfun(jacobi_file, lam_text, grid_text, floor, out_path):
     recursion; rows come from the direct solve and the max discrepancy
     between the two algorithms is printed.
     """
-    try:
-        J = BlockJacobi.from_json(_load_text(jacobi_file))
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        _fail(EXIT_PARSE, f"invalid Jacobi JSON: {exc}")
+    J = _load_jacobi(jacobi_file)
     if (lam_text is None) == (grid_text is None):
         _fail(EXIT_PARSE, "exactly one of --lambda / --grid is required")
     if lam_text is not None:
@@ -212,10 +216,7 @@ def cmd_iterate(start, lam_text, n_steps, dim, out_path):
 @click.option("--out", "out_path", default=None, help="JSON output path (default stdout)")
 def cmd_kac(jacobi_file, m_intervals, out_path):
     """Convert scalar Jacobi coefficients to a step Hamiltonian."""
-    try:
-        J = BlockJacobi.from_json(_load_text(jacobi_file))
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        _fail(EXIT_PARSE, f"invalid Jacobi JSON: {exc}")
+    J = _load_jacobi(jacobi_file)
     if J.d != 1:
         _fail(EXIT_UNSUPPORTED, "the coefficient-to-Hamiltonian conversion needs scalar (d=1) input")
     a = [float(blk[0, 0].real) for blk in J.a]

@@ -8,7 +8,7 @@ K* (T - lam)^{-1} K.  Values are d x d complex matrices.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -20,16 +20,54 @@ CONTRACTION_TOL = 1e-12
 #: relative floor below which a Gram matrix still counts as PSD
 PSD_TOL = 1e-10
 
+#: residual threshold (relative to the rhs) above which a solve counts as a pole
+POLE_RESIDUAL_TOL = 1e-8
+
 _POLE_TOL = 1e-12
 
 
 def _hermitian(M: np.ndarray, tol: float = 1e-10) -> bool:
-    return bool(np.max(np.abs(M - M.conj().T)) <= tol * (1.0 + np.max(np.abs(M))))
+    """Each matrix of the stack M (..., n, n) is Hermitian to tol; non-finite entries fail."""
+    M = np.asarray(M)
+    dev = np.abs(M - np.swapaxes(M.conj(), -1, -2)).max(axis=(-2, -1))
+    return bool(np.all(dev <= tol * (1.0 + np.abs(M).max(axis=(-2, -1)))))
 
 
-def _psd(M: np.ndarray, tol: float = 1e-10) -> bool:
-    w = np.linalg.eigvalsh((M + M.conj().T) / 2.0)
-    return bool(w.min() >= -tol * (1.0 + abs(w).max()))
+def _check_contraction(M: np.ndarray, name: str) -> None:
+    norm = np.linalg.norm(M, 2)
+    if not norm <= 1.0 + CONTRACTION_TOL:
+        raise NotContractionError(f"||{name}|| = {norm} exceeds 1 beyond tolerance")
+
+
+def _as_columns(K) -> np.ndarray:
+    K = np.asarray(K, dtype=complex)
+    return K[:, None] if K.ndim == 1 else K
+
+
+def _finite_inv(M: np.ndarray) -> np.ndarray:
+    """M^{-1}; raises LinAlgError when M is singular or the inverse is not finite."""
+    inv = np.linalg.inv(M)
+    if not np.all(np.isfinite(inv)):
+        raise np.linalg.LinAlgError("numerically singular matrix: the inverse is not finite")
+    return inv
+
+
+def _resolvent_solve(A: np.ndarray, K: np.ndarray, lam: complex) -> np.ndarray:
+    """(A - lam I)^{-1} K; PoleError when the residual shows lam is numerically an eigenvalue of A."""
+    shifted = A - lam * np.eye(A.shape[0])
+    try:
+        X = np.linalg.solve(shifted, K)
+    except np.linalg.LinAlgError as exc:
+        raise PoleError(f"lambda={lam} is an eigenvalue of the operator") from exc
+    if np.linalg.norm(shifted @ X - K) > POLE_RESIDUAL_TOL * max(np.linalg.norm(K), 1e-300):
+        raise PoleError(f"lambda={lam} is numerically an eigenvalue of the operator")
+    return X
+
+
+def _check_off_atoms(atoms: tuple, lam: complex) -> None:
+    for t, _ in atoms:
+        if abs(lam - t) < _POLE_TOL:
+            raise PoleError(f"lambda={lam} coincides with atom t={t}")
 
 
 def _matrix_to_json(M: np.ndarray) -> list:
@@ -57,24 +95,25 @@ class RealizedFunction:
     atoms: tuple = ()
     T: np.ndarray | None = None
     K: np.ndarray | None = None
+    validate: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, validate: bool):
+        if not validate:
+            return
         if self.variant == "measure":
             if not _hermitian(self.A):
                 raise ValueError("A must be Hermitian")
-            if not _psd(self.B):
+            if not is_psd_gram(self.B):
                 raise ValueError("B must be PSD")
             ts = [t for t, _ in self.atoms]
-            if len(set(ts)) != len(ts):
-                raise ValueError("atom positions must be distinct")
-            for _, W in self.atoms:
-                if not _psd(W):
-                    raise ValueError("atom weights must be PSD")
+            if len(set(ts)) != len(ts) or not np.all(np.isfinite(ts)):
+                raise ValueError("atom positions must be distinct and finite")
+            if not all(is_psd_gram(W) for _, W in self.atoms):
+                raise ValueError("atom weights must be PSD")
         elif self.variant == "realization":
             if not _hermitian(self.T):
                 raise ValueError("T must be Hermitian")
-            if np.linalg.norm(self.K, 2) > 1.0 + CONTRACTION_TOL:
-                raise NotContractionError("||K|| exceeds 1 beyond tolerance")
+            _check_contraction(self.K, "K")
         else:
             raise ValueError(f"unknown variant {self.variant!r}")
 
@@ -83,35 +122,13 @@ class RealizedFunction:
         A = np.atleast_2d(np.asarray(A, dtype=complex))
         B = np.atleast_2d(np.asarray(B, dtype=complex))
         atoms = tuple((float(t), np.atleast_2d(np.asarray(W, dtype=complex))) for t, W in atoms)
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "variant", "measure")
-        object.__setattr__(obj, "dim", A.shape[0])
-        object.__setattr__(obj, "A", A)
-        object.__setattr__(obj, "B", B)
-        object.__setattr__(obj, "atoms", atoms)
-        object.__setattr__(obj, "T", None)
-        object.__setattr__(obj, "K", None)
-        if validate:
-            obj.__post_init__()
-        return obj
+        return cls("measure", A.shape[0], A=A, B=B, atoms=atoms, validate=validate)
 
     @classmethod
     def from_realization(cls, T, K, *, validate: bool = True) -> "RealizedFunction":
         T = np.atleast_2d(np.asarray(T, dtype=complex))
-        K = np.asarray(K, dtype=complex)
-        if K.ndim == 1:
-            K = K[:, None]
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "variant", "realization")
-        object.__setattr__(obj, "dim", K.shape[1])
-        object.__setattr__(obj, "A", None)
-        object.__setattr__(obj, "B", None)
-        object.__setattr__(obj, "atoms", ())
-        object.__setattr__(obj, "T", T)
-        object.__setattr__(obj, "K", K)
-        if validate:
-            obj.__post_init__()
-        return obj
+        K = _as_columns(K)
+        return cls("realization", K.shape[1], T=T, K=K, validate=validate)
 
     @classmethod
     def zero(cls, dim: int = 1) -> "RealizedFunction":
@@ -125,15 +142,16 @@ class RealizedFunction:
         return evaluate(self, lam)
 
     def derivative(self, lam: complex) -> np.ndarray:
-        """M'(lam), exact for the finite representations."""
+        """M'(lam), exact for the finite representations; raises PoleError at a pole."""
         lam = complex(lam)
         if self.variant == "measure":
+            _check_off_atoms(self.atoms, lam)
             out = self.B.astype(complex).copy()
             for t, W in self.atoms:
                 out = out + W / (t - lam) ** 2
             return out
-        R = np.linalg.inv(self.T - lam * np.eye(self.T.shape[0]))
-        return self.K.conj().T @ R @ R @ self.K
+        X = _resolvent_solve(self.T, self.K, lam)
+        return self.K.conj().T @ _resolvent_solve(self.T, X, lam)
 
     def measure_form(self) -> "RealizedFunction":
         """Equivalent measure variant: diagonalize T, atoms (t_j, K* P_j K)."""
@@ -198,11 +216,13 @@ class SampleSet:
     """Finite set of off-axis sample points with one test vector per point."""
 
     points: tuple
-    vectors: tuple = field(default=())
+    vectors: tuple
 
     def __post_init__(self):
         if not self.points:
             raise ValueError("sample set must be nonempty")
+        if len(self.vectors) != len(self.points):
+            raise ValueError("one vector per sample point is required")
         for p in self.points:
             if complex(p).imag == 0.0:
                 raise ValueError("sample points must be off the real axis")
@@ -215,24 +235,13 @@ class SampleSet:
 def evaluate(F: RealizedFunction, lam: complex) -> np.ndarray:
     """Value of F at lam; raises PoleError at atoms / eigenvalues of T."""
     lam = complex(lam)
-    d = F.dim
     if F.variant == "measure":
-        for t, _ in F.atoms:
-            if abs(lam - t) < _POLE_TOL:
-                raise PoleError(f"lambda={lam} coincides with atom t={t}")
+        _check_off_atoms(F.atoms, lam)
         out = F.A + F.B * lam
         for t, W in F.atoms:
             out = out + W * (1.0 / (t - lam) - t / (t * t + 1.0))
         return np.asarray(out, dtype=complex)
-    n = F.T.shape[0]
-    shifted = F.T - lam * np.eye(n)
-    try:
-        rhs = np.linalg.solve(shifted, F.K)
-    except np.linalg.LinAlgError as exc:
-        raise PoleError(f"lambda={lam} is an eigenvalue of T") from exc
-    if np.linalg.norm(shifted @ rhs - F.K) > 1e-8 * max(np.linalg.norm(F.K), 1e-300):
-        raise PoleError(f"lambda={lam} is numerically an eigenvalue of T")
-    return F.K.conj().T @ rhs
+    return F.K.conj().T @ _resolvent_solve(F.T, F.K, lam)
 
 
 def asymptotic_C(F: RealizedFunction) -> np.ndarray:
@@ -261,8 +270,6 @@ def nevanlinna_gram(F: RealizedFunction, S: SampleSet) -> np.ndarray:
     points lam = conj(mu) fall back to the derivative limit M'(lam).
     """
     pts, vecs = S.points, S.vectors
-    if len(vecs) != len(pts):
-        raise ValueError("one vector per sample point is required")
     n = len(pts)
     G = np.empty((n, n), dtype=complex)
     for k in range(n):
@@ -279,8 +286,6 @@ def class_n0_interval_gram(F: RealizedFunction, S: SampleSet) -> np.ndarray:
                  / (lam - conj(xi)).
     """
     pts, vecs = S.points, S.vectors
-    if len(vecs) != len(pts):
-        raise ValueError("one vector per sample point is required")
     n = len(pts)
     eye = np.eye(F.dim)
     vals = [evaluate(F, p) for p in pts]
@@ -301,8 +306,10 @@ def min_eig(G: np.ndarray) -> float:
 
 
 def is_psd_gram(G: np.ndarray, tol: float = PSD_TOL) -> bool:
-    """Scale-relative PSD check: min eigenvalue >= -tol * (1 + ||G||)."""
-    return min_eig(G) >= -tol * (1.0 + np.linalg.norm(G, 2))
+    """Scale-relative PSD check of the Hermitian part of G: its eigenvalues w
+    satisfy min w >= -tol * (1 + max |w|)."""
+    w = np.linalg.eigvalsh((G + G.conj().T) / 2.0)
+    return bool(w.min() >= -tol * (1.0 + np.abs(w).max()))
 
 
 def random_nevanlinna(seed: int, d: int, n: int, *, contraction: bool = True) -> RealizedFunction:

@@ -14,10 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CutError, PoleError
-from .herglotz import _matrix_from_json, _matrix_to_json
-
-#: residual threshold (relative to the rhs) above which a solve counts as a pole
-POLE_RESIDUAL_TOL = 1e-8
+from .herglotz import POLE_RESIDUAL_TOL, _finite_inv, _hermitian, _matrix_from_json, _matrix_to_json
 
 
 @dataclass(frozen=True)
@@ -33,14 +30,18 @@ class BlockJacobi:
     d: int
 
     def __post_init__(self):
-        if len(self.a) < 1 or len(self.b) != len(self.a) - 1:
+        N = len(self.a)
+        if N < 1 or len(self.b) != N - 1:
             raise ValueError("need N >= 1 diagonal blocks and N-1 off-diagonal blocks")
-        for ak in self.a:
-            if np.max(np.abs(ak - ak.conj().T)) > 1e-12 * (1.0 + np.max(np.abs(ak))):
-                raise ValueError("diagonal blocks must be Hermitian")
-        for bk in self.b:
-            if abs(np.linalg.det(bk)) == 0.0:
-                raise ValueError("off-diagonal blocks must be invertible")
+        blocks = np.array(self.a + self.b)  # ragged blocks raise ValueError here
+        if blocks.shape != (2 * N - 1, self.d, self.d):
+            raise ValueError("all blocks must be d x d")
+        if not np.all(np.isfinite(blocks)):
+            raise ValueError("blocks must be finite")
+        if not _hermitian(blocks[:N], 1e-12):
+            raise ValueError("diagonal blocks must be Hermitian")
+        if np.any(np.linalg.det(blocks[N:]) == 0.0):
+            raise ValueError("off-diagonal blocks must be invertible")
 
     @classmethod
     def of(cls, a, b) -> "BlockJacobi":
@@ -90,22 +91,19 @@ class BlockJacobi:
 
 def build_J0(d: int, N: int) -> BlockJacobi:
     """Truncation of the Chebyshev (first kind) matrix: a_k = 0, b_0 = I/sqrt(2), b_k = I/2."""
-    if d < 1 or N < 2:
-        raise ValueError("need d >= 1 and N >= 2")
-    eye = np.eye(d, dtype=complex)
-    a = [np.zeros((d, d), dtype=complex) for _ in range(N)]
-    b = [eye / np.sqrt(2.0)] + [eye / 2.0 for _ in range(N - 2)]
-    return BlockJacobi.of(a, b)
+    return _free_jacobi(d, N, [np.sqrt(2.0)] + [2.0] * (N - 2))
 
 
 def build_Jhat0(d: int, N: int) -> BlockJacobi:
     """Truncation of the free discrete Schroedinger matrix: a_k = 0, b_k = I."""
+    return _free_jacobi(d, N, [1.0] * (N - 1))
+
+
+def _free_jacobi(d: int, N: int, b_divisors: list) -> BlockJacobi:
     if d < 1 or N < 2:
         raise ValueError("need d >= 1 and N >= 2")
     eye = np.eye(d, dtype=complex)
-    a = [np.zeros((d, d), dtype=complex) for _ in range(N)]
-    b = [eye.copy() for _ in range(N - 1)]
-    return BlockJacobi.of(a, b)
+    return BlockJacobi.of([np.zeros((d, d), dtype=complex) for _ in range(N)], [eye / s for s in b_divisors])
 
 
 def m_resolvent(J: BlockJacobi, lam: complex) -> np.ndarray:
@@ -129,25 +127,16 @@ def m_resolvent(J: BlockJacobi, lam: complex) -> np.ndarray:
             x[k] = np.linalg.solve(diag[k], rhs[k] - J.b[k] @ x[k + 1])
     except np.linalg.LinAlgError as exc:
         raise PoleError(f"singular shift at lambda={lam}") from exc
-    _check_residual(J, lam, x)
-    return x[0]
-
-
-def _check_residual(J: BlockJacobi, lam: complex, x: list) -> None:
-    d, N = J.d, J.N
-    eye = np.eye(d, dtype=complex)
-    res = 0.0
-    for k in range(N):
-        r = (J.a[k] - lam * eye) @ x[k]
-        if k > 0:
-            r = r + J.b[k - 1].conj().T @ x[k - 1]
-        if k + 1 < N:
-            r = r + J.b[k] @ x[k + 1]
-        if k == 0:
-            r = r - eye
-        res = max(res, float(np.linalg.norm(r)))
+    # pole guard on the O(N) block residual: a dense one would build the N d x N d matrix
+    X, B = np.array(x), np.reshape(J.b, (N - 1, d, d))
+    r = (np.array(J.a) - lam * eye) @ X
+    r[1:] += np.swapaxes(B.conj(), 1, 2) @ X[:-1]
+    r[:-1] += B @ X[1:]
+    r[0] -= eye
+    res = float(np.linalg.norm(r, axis=(1, 2)).max())
     if res > POLE_RESIDUAL_TOL * np.sqrt(d):
         raise PoleError(f"solve residual {res:.3e}: lambda={lam} is near the truncation spectrum")
+    return x[0]
 
 
 def m_cf(J: BlockJacobi, lam: complex) -> np.ndarray:
@@ -159,20 +148,13 @@ def m_cf(J: BlockJacobi, lam: complex) -> np.ndarray:
     lam = complex(lam)
     d, N = J.d, J.N
     eye = np.eye(d, dtype=complex)
-    m = _safe_inv(J.a[N - 1] - lam * eye, lam)
-    for k in range(N - 2, -1, -1):
-        m = _safe_inv(J.a[k] - lam * eye - J.b[k] @ m @ J.b[k].conj().T, lam)
-    return m
-
-
-def _safe_inv(M: np.ndarray, lam: complex) -> np.ndarray:
     try:
-        inv = np.linalg.inv(M)
+        m = _finite_inv(J.a[N - 1] - lam * eye)
+        for k in range(N - 2, -1, -1):
+            m = _finite_inv(J.a[k] - lam * eye - J.b[k] @ m @ J.b[k].conj().T)
     except np.linalg.LinAlgError as exc:
         raise PoleError(f"singular shift in the J-fraction at lambda={lam}") from exc
-    if not np.all(np.isfinite(inv)):
-        raise PoleError(f"singular shift in the J-fraction at lambda={lam}")
-    return inv
+    return m
 
 
 def quadrature_m0(lam: complex, nodes: int, kind: int) -> complex:
@@ -184,18 +166,16 @@ def quadrature_m0(lam: complex, nodes: int, kind: int) -> complex:
     lam = complex(lam)
     if nodes < 1:
         raise ValueError("need at least one node")
+    if kind not in (1, 2):
+        raise ValueError("kind must be 1 or 2")
+    # the cut of kind k is [-k, k]
+    if lam.imag == 0.0 and -kind <= lam.real <= kind:
+        raise CutError(f"lambda on the cut [-{kind}, {kind}]")
+    i = np.arange(1, nodes + 1)
     if kind == 1:
-        if lam.imag == 0.0 and -1.0 <= lam.real <= 1.0:
-            raise CutError("lambda on the cut [-1, 1]")
-        i = np.arange(1, nodes + 1)
         t = np.cos((2 * i - 1) * np.pi / (2 * nodes))
         return complex(np.sum(1.0 / (t - lam)) / nodes)
-    if kind == 2:
-        if lam.imag == 0.0 and -2.0 <= lam.real <= 2.0:
-            raise CutError("lambda on the cut [-2, 2]")
-        i = np.arange(1, nodes + 1)
-        theta = i * np.pi / (nodes + 1)
-        t = 2.0 * np.cos(theta)
-        w = np.sin(theta) ** 2
-        return complex(2.0 / (nodes + 1) * np.sum(w / (t - lam)))
-    raise ValueError("kind must be 1 or 2")
+    theta = i * np.pi / (nodes + 1)
+    t = 2.0 * np.cos(theta)
+    w = np.sin(theta) ** 2
+    return complex(2.0 / (nodes + 1) * np.sum(w / (t - lam)))

@@ -38,6 +38,8 @@ class StepHamiltonian:
         bp, th = self.breakpoints, self.thetas
         if len(bp) != len(th) + 1 or len(th) < 1:
             raise ValueError("need one more breakpoint than angles")
+        if not all(map(math.isfinite, bp + th)):
+            raise ValueError("breakpoints and angles must be finite")
         if bp[0] != 0.0:
             raise ValueError("domain must start at t = 0")
         if any(b1 - b0 <= 0 for b0, b1 in zip(bp, bp[1:])):
@@ -93,6 +95,8 @@ def kac_algorithm(a, b, m: int) -> StepHamiltonian:
         raise ValueError("need at least one interval")
     a = [float(x) for x in a]
     b = [float(x) for x in b]
+    if not all(map(math.isfinite, a + b)):
+        raise ValueError("coefficients must be finite")
     if any(x <= 0 for x in b):
         raise ValueError("off-diagonal coefficients must be positive")
     if m > 1 and (len(a) < m - 1 or len(b) < m - 1):
@@ -101,15 +105,12 @@ def kac_algorithm(a, b, m: int) -> StepHamiltonian:
     thetas = [math.pi / 2.0]
     lengths = [1.0]
     theta_prev = 0.0  # theta_{-1}
-    l_prev = 1.0  # l_{-1}, bookkeeping only
     for j in range(1, m):
         if j == 1:
             theta_next = math.atan(a[0]) + math.pi
         else:
             gap = thetas[-1] - theta_prev
-            s = math.sin(gap)
-            if abs(s) < _SIN_TOL:
-                raise DegenerateStepError(f"degenerate angle step at j={j}")
+            s = math.sin(gap)  # the previous step's s_new, already checked
             c = -a[j - 1] * lengths[-1] - math.cos(gap) / s
             # acot branch mapping R onto (0, pi)
             theta_next = thetas[-1] + (math.pi / 2.0 - math.atan(c))

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotContractionError, PoleError
+from .errors import PoleError
+from .herglotz import _as_columns, _check_contraction, _finite_inv, _hermitian, _resolvent_solve
 
 #: singular values below RANK_TOL * s_max count as zero
 RANK_TOL = 1e-10
@@ -30,20 +31,16 @@ class SubspaceRealization:
     M_basis: np.ndarray  # n x d, orthonormal columns
 
     def __post_init__(self):
-        T, B = self.T, self.M_basis
-        if np.max(np.abs(T - T.conj().T)) > 1e-10 * (1.0 + np.max(np.abs(T))):
+        if not _hermitian(self.T):
             raise ValueError("T must be Hermitian")
+        B = self.M_basis
         gram = B.conj().T @ B
-        if np.max(np.abs(gram - np.eye(B.shape[1]))) > 1e-10:
+        if not np.max(np.abs(gram - np.eye(B.shape[1]))) <= 1e-10:
             raise ValueError("M_basis columns must be orthonormal")
 
     @classmethod
     def of(cls, T, M_basis) -> "SubspaceRealization":
-        T = np.atleast_2d(np.asarray(T, dtype=complex))
-        M_basis = np.asarray(M_basis, dtype=complex)
-        if M_basis.ndim == 1:
-            M_basis = M_basis[:, None]
-        return cls(T=T, M_basis=M_basis)
+        return cls(T=np.atleast_2d(np.asarray(T, dtype=complex)), M_basis=_as_columns(M_basis))
 
     @property
     def H_dim(self) -> int:
@@ -72,9 +69,12 @@ class ChainOperator:
         return self.K.shape[1]
 
     def m_basis(self) -> np.ndarray:
-        B = np.zeros((self.assembled.shape[0], self.d), dtype=complex)
-        B[: self.d, :] = np.eye(self.d)
-        return B
+        return _leading_basis(self.assembled.shape[0], self.d)
+
+
+def _leading_basis(n: int, d: int) -> np.ndarray:
+    """n x d orthonormal basis of the distinguished subspace: the leading d coordinates."""
+    return np.eye(n, d, dtype=complex)
 
 
 def defect_operator(T: np.ndarray, rank_tol: float = RANK_TOL):
@@ -84,9 +84,7 @@ def defect_operator(T: np.ndarray, rank_tol: float = RANK_TOL):
     with defect above the relative rank tolerance.
     """
     T = np.atleast_2d(np.asarray(T, dtype=complex))
-    norm = np.linalg.norm(T, 2)
-    if norm > 1.0 + 1e-12:
-        raise NotContractionError(f"||T|| = {norm} exceeds 1")
+    _check_contraction(T, "T")
     w, V = np.linalg.eigh(T)
     defect = np.maximum(1.0 - w * w, 0.0)
     s = np.sqrt(defect)
@@ -109,41 +107,28 @@ def bold_T(R: SubspaceRealization) -> SubspaceRealization:
     bottom_right = Q.conj().T @ T @ Q
     big = np.block([[top_left, top_right], [top_right.conj().T, bottom_right]])
     big = (big + big.conj().T) / 2.0
-    d = R.d
-    basis = np.zeros((big.shape[0], d), dtype=complex)
-    basis[:d, :] = np.eye(d)
-    return SubspaceRealization(T=big, M_basis=basis)
+    return SubspaceRealization(T=big, M_basis=_leading_basis(big.shape[0], R.d))
 
 
 def compressed_resolvent(A: np.ndarray, M_basis: np.ndarray, lam: complex) -> np.ndarray:
     """M_basis* (A - lam I)^{-1} M_basis with a residual-based pole guard."""
-    lam = complex(lam)
     A = np.atleast_2d(np.asarray(A, dtype=complex))
-    M_basis = np.asarray(M_basis, dtype=complex)
-    if M_basis.ndim == 1:
-        M_basis = M_basis[:, None]
-    shifted = A - lam * np.eye(A.shape[0])
-    try:
-        x = np.linalg.solve(shifted, M_basis)
-    except np.linalg.LinAlgError as exc:
-        raise PoleError(f"lambda={lam} is an eigenvalue of A") from exc
-    if np.linalg.norm(shifted @ x - M_basis) > 1e-8 * np.linalg.norm(M_basis):
-        raise PoleError(f"lambda={lam} is numerically an eigenvalue of A")
-    return M_basis.conj().T @ x
+    M_basis = _as_columns(M_basis)
+    return M_basis.conj().T @ _resolvent_solve(A, M_basis, complex(lam))
 
 
 def compressed_resolvent_schur(D: np.ndarray, K: np.ndarray, T: np.ndarray, lam: complex) -> np.ndarray:
     """Compressed resolvent of [[D, K*], [K, T]] via the Schur-complement form
-    -(-D + K*(T - lam)^{-1}K + lam)^{-1}."""
+    -(-D + K*(T - lam)^{-1}K + lam)^{-1}; raises PoleError at a pole."""
     lam = complex(lam)
     D = np.atleast_2d(np.asarray(D, dtype=complex))
-    K = np.asarray(K, dtype=complex)
-    if K.ndim == 1:
-        K = K[:, None]
+    K = _as_columns(K)
     T = np.atleast_2d(np.asarray(T, dtype=complex))
-    d = D.shape[0]
-    inner = K.conj().T @ np.linalg.solve(T - lam * np.eye(T.shape[0]), K)
-    return -np.linalg.inv(-D + inner + lam * np.eye(d))
+    inner = K.conj().T @ _resolvent_solve(T, K, lam)
+    try:
+        return -_finite_inv(-D + inner + lam * np.eye(D.shape[0]))
+    except np.linalg.LinAlgError as exc:
+        raise PoleError(f"lambda={lam} is a pole of the compressed resolvent") from exc
 
 
 def chain_A(K: np.ndarray, That: np.ndarray, n: int) -> ChainOperator:
@@ -155,15 +140,12 @@ def chain_A(K: np.ndarray, That: np.ndarray, n: int) -> ChainOperator:
     """
     if n < 1:
         raise ValueError("need chain index n >= 1")
-    K = np.asarray(K, dtype=complex)
-    if K.ndim == 1:
-        K = K[:, None]
+    K = _as_columns(K)
     That = np.atleast_2d(np.asarray(That, dtype=complex))
     h, d = K.shape
     if That.shape[0] != h:
         raise ValueError("K and That dimensions are inconsistent")
-    if np.linalg.norm(K, 2) > 1.0 + 1e-12:
-        raise NotContractionError("||K|| exceeds 1")
+    _check_contraction(K, "K")
     size = n * d + h
     if size > CHAIN_DIM_CAP:
         raise ValueError(f"chain dimension {size} exceeds cap {CHAIN_DIM_CAP}")

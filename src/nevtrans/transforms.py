@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .herglotz import RealizedFunction, evaluate
-from .specialfn import m0_gammahat
+from .herglotz import RealizedFunction, _finite_inv, evaluate
+from .specialfn import CUT_TOL, m0_gammahat
 
 #: condition number above which gamma emits an ill-conditioning warning
 COND_WARN = 1e12
@@ -32,8 +32,8 @@ def _opnorm(M: np.ndarray) -> float:
 def gamma(Mval: np.ndarray, lam: complex) -> np.ndarray:
     """Value of the involution M^{-1}/(lam^2 - 1)."""
     lam = complex(lam)
-    if lam in (1.0 + 0j, -1.0 + 0j):
-        raise ValueError("lam = +-1 annihilates the lam^2 - 1 factor")
+    if min(abs(lam - 1.0), abs(lam + 1.0)) < CUT_TOL:
+        raise ValueError(f"lam={lam} is within {CUT_TOL} of +-1, where the lam^2 - 1 factor vanishes")
     Mval = np.atleast_2d(np.asarray(Mval, dtype=complex))
     cond = np.linalg.cond(Mval)
     if not np.isfinite(cond):
@@ -44,19 +44,9 @@ def gamma(Mval: np.ndarray, lam: complex) -> np.ndarray:
 
 
 def gamma_hat(Mval: np.ndarray, lam: complex) -> np.ndarray:
-    """Value of -(M + lam I)^{-1}; singular shift signals a non-Nevanlinna input."""
-    lam = complex(lam)
+    """Value of -(M + lam I)^{-1}; LinAlgError at a singular shift signals a non-Nevanlinna input."""
     Mval = np.atleast_2d(np.asarray(Mval, dtype=complex))
-    shifted = Mval + lam * np.eye(Mval.shape[0])
-    try:
-        inv = np.linalg.inv(shifted)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            "M + lam I is singular: input cannot be a Nevanlinna value at non-real lam"
-        ) from exc
-    if not np.all(np.isfinite(inv)):
-        raise np.linalg.LinAlgError("M + lam I is numerically singular")
-    return -inv
+    return -_finite_inv(Mval + complex(lam) * np.eye(Mval.shape[0]))
 
 
 @dataclass

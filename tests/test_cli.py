@@ -144,6 +144,19 @@ class TestKac:
         assert r.returncode == 3
 
 
+class TestNonFiniteInput:
+    def test_nan_block_is_a_parse_error(self, tmp_path):
+        doc = json.loads(build_Jhat0(1, 3).to_json())
+        doc["b"][0][0][0][0] = float("nan")
+        p = tmp_path / "nan.json"
+        p.write_text(json.dumps(doc))
+        assert "NaN" in p.read_text()
+        for args in (["mfun", str(p), "--lambda", "0,1"], ["kac", str(p), "--m", "2"]):
+            r = run_cli(*args)
+            assert r.returncode == 2
+            assert "finite" in r.stderr
+
+
 class TestVerify:
     def test_known_suite_passes(self):
         r = run_cli("verify", "fixed-points")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,22 @@ class TestEvaluate:
         F = RealizedFunction.from_realization(np.diag([-1.0, 1.0]), [[0.5], [0.5]])
         with pytest.raises(PoleError):
             evaluate(F, 1.0 + 0j)
+
+    def test_derivative_pole_at_atom(self):
+        F = RealizedFunction.from_measure([[0.0]], [[0.0]], [(1.5, [[1.0]])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PoleError):
+                F.derivative(1.5 + 0j)
+
+    def test_derivative_pole_at_eigenvalue(self):
+        F = RealizedFunction.from_realization(np.diag([-1.0, 1.0]), [[0.5], [0.5]])
+        with pytest.raises(PoleError):
+            F.derivative(1.0 + 0j)
+
+    def test_non_finite_atom_rejected(self):
+        with pytest.raises(ValueError):
+            RealizedFunction.from_measure([[0.0]], [[0.0]], [(float("nan"), [[1.0]])])
 
     def test_conjugate_symmetry(self):
         for seed in range(5):
@@ -309,3 +327,7 @@ class TestSampleSet:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             SampleSet.of([], [])
+
+    def test_rejects_missing_vectors(self):
+        with pytest.raises(ValueError):
+            SampleSet.of([1j, 2j], [np.array([1.0])])

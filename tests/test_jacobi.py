@@ -219,3 +219,12 @@ class TestStructure:
             BlockJacobi.of([[[1j]]], [])  # non-Hermitian diagonal
         with pytest.raises(ValueError):
             BlockJacobi.of([[[0.0]], [[0.0]]], [[[0.0]]])  # singular off-diagonal
+
+    def test_non_finite_and_ragged_blocks_rejected(self):
+        nan = float("nan")
+        with pytest.raises(ValueError):
+            BlockJacobi.of([[[0.0]], [[0.0]]], [[[nan]]])
+        with pytest.raises(ValueError):
+            BlockJacobi.of([[[nan]], [[0.0]]], [[[1.0]]])
+        with pytest.raises(ValueError):
+            BlockJacobi.of([[[0.0]], np.zeros((2, 2))], [[[1.0]]])

@@ -65,6 +65,12 @@ class TestKacAlgorithm:
         with pytest.raises(ValueError):
             kac_algorithm([0.0], [1.0], 5)  # not enough coefficients
 
+    def test_non_finite_coefficients_rejected(self):
+        with pytest.raises(ValueError):
+            kac_algorithm([float("nan"), 0.0], [1.0, 1.0], 3)
+        with pytest.raises(ValueError):
+            kac_algorithm([0.0, 0.0], [1.0, float("inf")], 3)
+
 
 class TestEvaluateH:
     def test_axis_angles(self):
@@ -176,6 +182,12 @@ class TestStepHamiltonian:
             StepHamiltonian.of([1.0, 2.0], [math.pi / 2])  # does not start at 0
         with pytest.raises(ValueError):
             StepHamiltonian.of([0.0, 1.0], [math.pi / 2, math.pi])  # length mismatch
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError):
+            StepHamiltonian.of([0.0, float("nan")], [math.pi / 2])
+        with pytest.raises(ValueError):
+            StepHamiltonian.of([0.0, 1.0, 2.0], [math.pi / 2, float("nan")])
 
     def test_accessors(self):
         H = hamiltonian_H0(5)

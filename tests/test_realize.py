@@ -142,6 +142,14 @@ class TestCompressedResolvent:
         with pytest.raises(PoleError):
             compressed_resolvent(np.diag([1.0, -1.0]), np.array([[1.0], [0.0]]), 1.0 + 0j)
 
+    def test_schur_pole_guard(self):
+        # lam an eigenvalue of T: the inner solve is singular
+        with pytest.raises(PoleError):
+            compressed_resolvent_schur([[0.0]], [[0.5], [0.5]], np.diag([-1.0, 1.0]), 1.0 + 0j)
+        # K = 0 decouples D = 0, so lam = 0 is a pole of the compressed resolvent itself
+        with pytest.raises(PoleError):
+            compressed_resolvent_schur([[0.0]], [[0.0]], [[2.0]], 0j)
+
 
 class TestChain:
     def test_smallest_chain(self):

@@ -53,6 +53,11 @@ class TestGamma:
         with pytest.raises(ValueError):
             gamma(np.eye(1), 1.0 + 0j)
 
+    def test_lambda_near_pm_one_rejected(self):
+        for lam in (1.0 + 1e-17j, -1.0 - 1e-13, -1.0 + 5e-13j):
+            with pytest.raises(ValueError):
+                gamma(np.eye(1), lam)
+
 
 class TestGammaHat:
     def test_zero_input(self):
