@@ -38,14 +38,12 @@ def _grid_lambdas(count: int = 100) -> list:
 
 
 def check_fixed_points():
-    worst = 0.0
-    for lam in _grid_lambdas():
-        val = m0_gammahat(lam)
-        worst = max(worst, abs(transforms.gamma_hat(np.array([[val]]), lam)[0, 0] - val))
-        g = m0_gamma(lam)
-        for d in (1, 3):
-            M = g * np.eye(d)
-            worst = max(worst, float(np.linalg.norm(transforms.gamma(M, lam) - M, 2)))
+    lams = np.array(_grid_lambdas())
+    val = m0_gammahat(lams)[:, None, None]
+    worst = np.max(np.abs(transforms.gamma_hat(val, lams) - val))
+    for d in (1, 3):
+        M = np.multiply.outer(m0_gamma(lams), np.eye(d))
+        worst = max(worst, np.max(np.linalg.norm(transforms.gamma(M, lams) - M, 2, axis=(-2, -1))))
     return worst < 1e-12, f"max fixed-point residual {worst:.3e} (tol 1e-12)"
 
 
@@ -75,12 +73,8 @@ def check_contraction():
 
 
 def check_uniform_grid():
-    F = RealizedFunction.zero(1)
-    worst = 0.0
-    for re in np.linspace(1.0, 2.0, 20):
-        for im in np.linspace(1.5, 2.5, 20):
-            tr = transforms.iterate_gamma_hat(F, complex(re, im), 20)
-            worst = max(worst, tr.residuals[-1])
+    lams = np.add.outer(np.linspace(1.0, 2.0, 20), 1j * np.linspace(1.5, 2.5, 20))
+    worst = np.max(transforms.iterate_gamma_hat(RealizedFunction.zero(1), lams, 20).residuals[-1])
     return worst < 1e-10, f"max residual at n=20 over compact grid {worst:.3e} (tol 1e-10)"
 
 
@@ -105,11 +99,9 @@ def check_wollen():
         R = _random_subspace_realization(100 + trial, 3, 12)
         bT = realize.bold_T(R)
         worst_norm = max(worst_norm, float(np.linalg.norm(bT.T, 2)))
-        for _ in range(20):
-            lam = complex(rng.uniform(-3, 3), rng.choice([-1, 1]) * rng.uniform(0.3, 3))
-            M = R.m_function(lam)
-            err = np.max(np.abs(bT.m_function(lam) - np.linalg.inv(M) / (lam * lam - 1.0)))
-            worst = max(worst, float(err))
+        lams = np.array([complex(rng.uniform(-3, 3), rng.choice([-1, 1]) * rng.uniform(0.3, 3)) for _ in range(20)])
+        want = np.linalg.inv(R.m_function(lams)) / (lams * lams - 1.0)[:, None, None]
+        worst = max(worst, float(np.max(np.abs(bT.m_function(lams) - want))))
         if realize.simplicity_check(R)[0] and not realize.simplicity_check(bT)[0]:
             simple_ok = False
     ok = worst < 1e-10 and worst_norm <= 1.0 + 1e-12 and simple_ok
@@ -125,21 +117,19 @@ def check_chain():
     corner_ok = True
     for trial in range(5):
         F = random_nevanlinna(50 + trial, 2, 6)
-        lams = [complex(rng.uniform(-2, 2), rng.choice([-1, 1]) * rng.uniform(0.5, 3)) for _ in range(6)]
+        lams = np.array([complex(rng.uniform(-2, 2), rng.choice([-1, 1]) * rng.uniform(0.5, 3)) for _ in range(6)])
+        val = evaluate(F, lams)
         for n in range(1, 7):
             C = realize.chain_A(F.K, F.T, n)
             if n >= 2:
                 corner = C.assembled[: 2 * n, : 2 * n]
                 if not np.array_equal(corner, jacobi.build_Jhat0(2, n).dense()):
                     corner_ok = False
-            for lam in lams:
-                # seed realizes the first iterate; depth n yields iterate n+1,
-                # i.e. n applications of the map to the seed's value
-                val = evaluate(F, lam)
-                for _ in range(n):
-                    val = transforms.gamma_hat(val, lam)
-                got = realize.compressed_resolvent(C.assembled, C.m_basis(), lam)
-                worst = max(worst, float(np.max(np.abs(got - val))))
+            # seed realizes the first iterate; depth n yields iterate n+1,
+            # i.e. n applications of the map to the seed's value
+            val = transforms.gamma_hat(val, lams)
+            got = realize.compressed_resolvent(C.assembled, C.m_basis(), lams)
+            worst = max(worst, float(np.max(np.abs(got - val))))
     ok = worst < 1e-10 and corner_ok
     return ok, f"max chain realization error {worst:.3e} (tol 1e-10), corner embedding exact: {corner_ok}"
 

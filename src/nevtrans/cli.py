@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
 
 import click
 import numpy as np
@@ -25,8 +24,12 @@ EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_UNSUPPORTED = 4
 
-#: default minimum |Im lambda| for grid evaluation
+#: default minimum |Im lambda| of the mfun points
 DEFAULT_FLOOR = 1e-6
+
+#: points x N x d^2 per m_resolvent call of mfun; m_resolvent holds a few
+#: such stacks of complex numbers, so this bounds its memory to some MB
+_CHUNK_ENTRIES = 2**17
 
 
 def _fail(code: int, message: str):
@@ -39,52 +42,29 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _parse_lambda(text: str) -> complex:
+def _axis(text: str, grid: bool) -> np.ndarray:
+    if not grid:
+        return np.array([float(text)])
+    lo, hi, n = text.split(":")
+    if int(n) < 1:
+        raise ValueError("grid counts must be >= 1")
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller rejects non-finite points
+        return np.linspace(float(lo), float(hi), int(n))
+
+
+def _parse_lambdas(text: str, grid: bool) -> np.ndarray:
+    """The points of ``--lambda RE,IM`` (one) or ``--grid re0:re1:n,im0:im1:n``
+    (real part major), as a 1-d complex array with finite parts."""
+    option, form = ("--grid", "re0:re1:n,im0:im1:n") if grid else ("--lambda", "RE,IM")
     try:
-        re_s, im_s = text.split(",")
-        return complex(float(re_s), float(im_s))
+        res, ims = (_axis(part, grid) for part in text.split(","))
     except ValueError:
-        _fail(EXIT_PARSE, f"--lambda expects RE,IM, got {text!r}")
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Rectangular lambda grid with a half-plane floor |Im lambda| >= floor."""
-
-    re_min: float
-    re_max: float
-    n_re: int
-    im_min: float
-    im_max: float
-    n_im: int
-    floor: float = DEFAULT_FLOOR
-
-    def __post_init__(self):
-        if self.n_re < 1 or self.n_im < 1:
-            raise ValueError("grid counts must be >= 1")
-        if not self.floor > 0:
-            raise ValueError("half-plane floor must be positive")
-
-    def points(self) -> list:
-        res = np.linspace(self.re_min, self.re_max, self.n_re)
-        ims = np.linspace(self.im_min, self.im_max, self.n_im)
-        if np.min(np.abs(ims)) < self.floor:
-            raise ValueError("grid violates half-plane floor")
-        return [complex(re, im) for re in res for im in ims]
-
-
-def _parse_grid(text: str, floor: float) -> GridSpec:
-    try:
-        re_part, im_part = text.split(",")
-        re0, re1, n_re = re_part.split(":")
-        im0, im1, n_im = im_part.split(":")
-        return GridSpec(
-            re_min=float(re0), re_max=float(re1), n_re=int(n_re),
-            im_min=float(im0), im_max=float(im1), n_im=int(n_im),
-            floor=floor,
-        )
-    except ValueError:
-        _fail(EXIT_PARSE, f"--grid expects re0:re1:n,im0:im1:n, got {text!r}")
+        _fail(EXIT_PARSE, f"{option} expects {form}, got {text!r}")
+    lams = np.empty((res.size, ims.size), dtype=complex)
+    lams.real, lams.imag = res[:, None], ims
+    if not np.all(np.isfinite(lams)):
+        _fail(EXIT_PARSE, f"{option} needs finite values, got {text!r}")
+    return lams.ravel()
 
 
 def _load_text(path: str) -> str:
@@ -121,7 +101,7 @@ def main():
 @click.option("--lambda", "lam_text", default=None, help="single point RE,IM")
 @click.option("--grid", "grid_text", default=None, help="re0:re1:n,im0:im1:n")
 @click.option("--floor", type=float, default=DEFAULT_FLOOR, show_default=True,
-              help="minimum |Im lambda| allowed on the grid")
+              help="minimum |Im lambda| allowed (positive for --grid)")
 @click.option("--out", "out_path", default=None, help="CSV output path (default stdout)")
 def cmd_mfun(jacobi_file, lam_text, grid_text, floor, out_path):
     """Evaluate the m-function of a block Jacobi matrix on points or a grid.
@@ -133,35 +113,23 @@ def cmd_mfun(jacobi_file, lam_text, grid_text, floor, out_path):
     J = _load_jacobi(jacobi_file)
     if (lam_text is None) == (grid_text is None):
         _fail(EXIT_PARSE, "exactly one of --lambda / --grid is required")
-    if lam_text is not None:
-        lam = _parse_lambda(lam_text)
-        if abs(lam.imag) < floor:
-            _fail(EXIT_PRECONDITION, "grid violates half-plane floor")
-        points = [lam]
-    else:
-        spec = _parse_grid(grid_text, floor)
-        try:
-            points = spec.points()
-        except ValueError as exc:
-            _fail(EXIT_PRECONDITION, str(exc))
-    d = J.d
+    if grid_text is not None and not floor > 0:
+        _fail(EXIT_PARSE, "--floor must be positive for --grid")
+    lams = _parse_lambdas(lam_text if grid_text is None else grid_text, grid=grid_text is not None)
+    if np.min(np.abs(lams.imag)) < floor:
+        _fail(EXIT_PRECONDITION, "grid violates half-plane floor")
+    step = max(1, _CHUNK_ENTRIES // (J.N * J.d * J.d))
+    M1 = np.concatenate([m_resolvent(J, lams[i:i + step]) for i in range(0, lams.size, step)])
+    M2 = m_cf(J, lams)
     header = ["re_lambda", "im_lambda"]
-    for i in range(d):
-        for j in range(d):
+    for i in range(J.d):
+        for j in range(J.d):
             header += [f"re_m{i}{j}", f"im_m{i}{j}"]
     lines = [",".join(header)]
-    discrepancy = 0.0
-    for lam in points:
-        M1 = m_resolvent(J, lam)
-        M2 = m_cf(J, lam)
-        discrepancy = max(discrepancy, float(np.max(np.abs(M1 - M2))))
-        row = [_fmt(lam.real), _fmt(lam.imag)]
-        for i in range(d):
-            for j in range(d):
-                row += [_fmt(M1[i, j].real), _fmt(M1[i, j].imag)]
-        lines.append(",".join(row))
+    for lam, M in zip(lams, M1):
+        lines.append(",".join(_fmt(x) for z in (lam, *M.ravel()) for x in (z.real, z.imag)))
     _write_text(out_path, "\n".join(lines) + "\n")
-    click.echo(f"max discrepancy between algorithms: {_fmt(discrepancy)}", err=True)
+    click.echo(f"max discrepancy between algorithms: {_fmt(np.max(np.abs(M1 - M2)))}", err=True)
 
 
 def _nevanlinna_warning_check(F: RealizedFunction, lam: complex):
@@ -188,7 +156,7 @@ def _nevanlinna_warning_check(F: RealizedFunction, lam: complex):
 @click.option("--out", "out_path", default=None, help="CSV output path (default stdout)")
 def cmd_iterate(start, lam_text, n_steps, dim, out_path):
     """Iterate M -> -(M + lambda)^{-1} from START ('zero' or a function JSON file)."""
-    lam = _parse_lambda(lam_text)
+    lam = complex(_parse_lambdas(lam_text, grid=False)[0])
     if n_steps < 1:
         raise click.UsageError("--n must be >= 1")
     if lam.imag == 0.0:
@@ -219,8 +187,9 @@ def cmd_kac(jacobi_file, m_intervals, out_path):
     J = _load_jacobi(jacobi_file)
     if J.d != 1:
         _fail(EXIT_UNSUPPORTED, "the coefficient-to-Hamiltonian conversion needs scalar (d=1) input")
+    # the diagonal is Hermitian, so real; a diagonal unitary maps each b_k to |b_k| and keeps m
     a = [float(blk[0, 0].real) for blk in J.a]
-    b = [float(blk[0, 0].real) for blk in J.b]
+    b = [float(abs(blk[0, 0])) for blk in J.b]
     try:
         H = kac_algorithm(a, b, m_intervals)
     except ValueError as exc:

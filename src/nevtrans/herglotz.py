@@ -52,21 +52,33 @@ def _finite_inv(M: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _resolvent_solve(A: np.ndarray, K: np.ndarray, lam: complex) -> np.ndarray:
-    """(A - lam I)^{-1} K; PoleError when the residual shows lam is numerically an eigenvalue of A."""
-    shifted = A - lam * np.eye(A.shape[0])
+def _as_complex(x):
+    """x as a Python complex when it is a scalar, else as a complex array.
+
+    Every value routine passes its lambda through here: a scalar keeps Python's
+    complex arithmetic (and its rounding), an array of any shape broadcasts.
+    """
+    x = np.asarray(x, dtype=complex)
+    return complex(x) if x.ndim == 0 else x
+
+
+def _resolvent_solve(A: np.ndarray, K: np.ndarray, lam) -> np.ndarray:
+    """(A - lam I)^{-1} K, shape lam.shape + K.shape; PoleError when the residual
+    shows some lam is numerically an eigenvalue of A."""
+    shifted = A - np.multiply.outer(lam, np.eye(A.shape[0]))
     try:
-        X = np.linalg.solve(shifted, K)
+        X = np.linalg.solve(shifted, K.reshape((1,) * np.ndim(lam) + K.shape))  # matrices, also to numpy < 2
     except np.linalg.LinAlgError as exc:
         raise PoleError(f"lambda={lam} is an eigenvalue of the operator") from exc
-    if np.linalg.norm(shifted @ X - K) > POLE_RESIDUAL_TOL * max(np.linalg.norm(K), 1e-300):
+    res = np.linalg.norm(shifted @ X - K, axis=(-2, -1))
+    if np.any(res > POLE_RESIDUAL_TOL * max(np.linalg.norm(K), 1e-300)):
         raise PoleError(f"lambda={lam} is numerically an eigenvalue of the operator")
     return X
 
 
-def _check_off_atoms(atoms: tuple, lam: complex) -> None:
+def _check_off_atoms(atoms: tuple, lam) -> None:
     for t, _ in atoms:
-        if abs(lam - t) < _POLE_TOL:
+        if np.any(np.abs(lam - t) < _POLE_TOL):
             raise PoleError(f"lambda={lam} coincides with atom t={t}")
 
 
@@ -75,7 +87,10 @@ def _matrix_to_json(M: np.ndarray) -> list:
 
 
 def _matrix_from_json(rows: list) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
+    M = np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
+    if not np.all(np.isfinite(M)):
+        raise ValueError("matrix entries must be finite")
+    return M
 
 
 @dataclass(frozen=True)
@@ -98,6 +113,9 @@ class RealizedFunction:
     validate: InitVar[bool] = True
 
     def __post_init__(self, validate: bool):
+        ts = [t for t, _ in self.atoms]
+        if not np.all(np.isfinite(ts)):
+            raise ValueError("atom positions must be finite")
         if not validate:
             return
         if self.variant == "measure":
@@ -105,9 +123,8 @@ class RealizedFunction:
                 raise ValueError("A must be Hermitian")
             if not is_psd_gram(self.B):
                 raise ValueError("B must be PSD")
-            ts = [t for t, _ in self.atoms]
-            if len(set(ts)) != len(ts) or not np.all(np.isfinite(ts)):
-                raise ValueError("atom positions must be distinct and finite")
+            if len(set(ts)) != len(ts):
+                raise ValueError("atom positions must be distinct")
             if not all(is_psd_gram(W) for _, W in self.atoms):
                 raise ValueError("atom weights must be PSD")
         elif self.variant == "realization":
@@ -232,14 +249,15 @@ class SampleSet:
         return cls(tuple(complex(p) for p in points), tuple(np.asarray(v, dtype=complex) for v in vectors))
 
 
-def evaluate(F: RealizedFunction, lam: complex) -> np.ndarray:
-    """Value of F at lam; raises PoleError at atoms / eigenvalues of T."""
-    lam = complex(lam)
+def evaluate(F: RealizedFunction, lam) -> np.ndarray:
+    """Value of F at lam, shape lam.shape + (d, d); raises PoleError when any
+    lam is an atom / eigenvalue of T.  A realization solves one n x n system per lam."""
+    lam = _as_complex(lam)
     if F.variant == "measure":
         _check_off_atoms(F.atoms, lam)
-        out = F.A + F.B * lam
+        out = F.A + F.B * np.expand_dims(lam, (-2, -1))
         for t, W in F.atoms:
-            out = out + W * (1.0 / (t - lam) - t / (t * t + 1.0))
+            out = out + W * np.expand_dims(1.0 / (t - lam) - t / (t * t + 1.0), (-2, -1))
         return np.asarray(out, dtype=complex)
     return F.K.conj().T @ _resolvent_solve(F.T, F.K, lam)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CutError, PoleError
-from .herglotz import POLE_RESIDUAL_TOL, _finite_inv, _hermitian, _matrix_from_json, _matrix_to_json
+from .herglotz import POLE_RESIDUAL_TOL, _as_complex, _finite_inv, _hermitian, _matrix_from_json, _matrix_to_json
 
 
 @dataclass(frozen=True)
@@ -106,20 +106,30 @@ def _free_jacobi(d: int, N: int, b_divisors: list) -> BlockJacobi:
     return BlockJacobi.of([np.zeros((d, d), dtype=complex) for _ in range(N)], [eye / s for s in b_divisors])
 
 
-def m_resolvent(J: BlockJacobi, lam: complex) -> np.ndarray:
-    """Top-left block of (J - lam I)^{-1} via a block Thomas solve, O(N)."""
-    lam = complex(lam)
+def m_resolvent(J: BlockJacobi, lam) -> np.ndarray:
+    """Top-left block of (J - lam I)^{-1} via a block Thomas solve, O(N) in blocks.
+
+    lam may have any shape; the result has shape lam.shape + (d, d).
+    """
+    lam = _as_complex(lam)
     d, N = J.d, J.N
     eye = np.eye(d, dtype=complex)
+    shift = np.multiply.outer(lam, eye)
+    # every right-hand side carries lam's axes (as ones): numpy < 2 reads a
+    # b with one axis fewer than the matrices as a stack of vectors
+    lead = (1,) * np.ndim(lam)
+    B = np.reshape(J.b, (N - 1, d, d))
+    bH = B.conj().reshape((N - 1,) + lead + (d, d))
     # forward elimination on (J - lam) X = E0
     diag = [None] * N
     rhs = [None] * N
-    diag[0] = J.a[0] - lam * eye
-    rhs[0] = eye
+    diag[0] = J.a[0] - shift
+    rhs[0] = eye.reshape(lead + (d, d))
     try:
         for k in range(1, N):
-            factor = np.linalg.solve(diag[k - 1].T, J.b[k - 1].conj()).T  # b_{k-1}^* d_{k-1}^{-1}
-            diag[k] = (J.a[k] - lam * eye) - factor @ J.b[k - 1]
+            dT = np.swapaxes(diag[k - 1], -1, -2)
+            factor = np.swapaxes(np.linalg.solve(dT, bH[k - 1]), -1, -2)  # b_{k-1}^* d_{k-1}^{-1}
+            diag[k] = (J.a[k] - shift) - factor @ J.b[k - 1]
             rhs[k] = -factor @ rhs[k - 1]
         x = [None] * N
         x[N - 1] = np.linalg.solve(diag[N - 1], rhs[N - 1])
@@ -128,30 +138,31 @@ def m_resolvent(J: BlockJacobi, lam: complex) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise PoleError(f"singular shift at lambda={lam}") from exc
     # pole guard on the O(N) block residual: a dense one would build the N d x N d matrix
-    X, B = np.array(x), np.reshape(J.b, (N - 1, d, d))
-    r = (np.array(J.a) - lam * eye) @ X
-    r[1:] += np.swapaxes(B.conj(), 1, 2) @ X[:-1]
-    r[:-1] += B @ X[1:]
-    r[0] -= eye
-    res = float(np.linalg.norm(r, axis=(1, 2)).max())
+    X = np.stack(x, axis=-3)
+    r = (np.array(J.a) - shift[..., None, :, :]) @ X
+    r[..., 1:, :, :] += np.swapaxes(B.conj(), -1, -2) @ X[..., :-1, :, :]
+    r[..., :-1, :, :] += B @ X[..., 1:, :, :]
+    r[..., 0, :, :] -= eye
+    res = np.max(np.linalg.norm(r, axis=(-2, -1)))
     if res > POLE_RESIDUAL_TOL * np.sqrt(d):
         raise PoleError(f"solve residual {res:.3e}: lambda={lam} is near the truncation spectrum")
     return x[0]
 
 
-def m_cf(J: BlockJacobi, lam: complex) -> np.ndarray:
+def m_cf(J: BlockJacobi, lam) -> np.ndarray:
     """Finite J-fraction by backward Schur-complement recursion.
 
     m_N = (a_{N-1} - lam)^{-1};  m_k = (a_k - lam - b_k m_{k+1} b_k^*)^{-1}.
-    Equals m_resolvent exactly in exact arithmetic.
+    Equals m_resolvent exactly in exact arithmetic.  lam may have any shape;
+    the result has shape lam.shape + (d, d).
     """
-    lam = complex(lam)
-    d, N = J.d, J.N
-    eye = np.eye(d, dtype=complex)
+    lam = _as_complex(lam)
+    N = J.N
+    shift = np.multiply.outer(lam, np.eye(J.d, dtype=complex))
     try:
-        m = _finite_inv(J.a[N - 1] - lam * eye)
+        m = _finite_inv(J.a[N - 1] - shift)
         for k in range(N - 2, -1, -1):
-            m = _finite_inv(J.a[k] - lam * eye - J.b[k] @ m @ J.b[k].conj().T)
+            m = _finite_inv(J.a[k] - shift - J.b[k] @ m @ J.b[k].conj().T)
     except np.linalg.LinAlgError as exc:
         raise PoleError(f"singular shift in the J-fraction at lambda={lam}") from exc
     return m

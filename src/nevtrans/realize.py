@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PoleError
-from .herglotz import _as_columns, _check_contraction, _finite_inv, _hermitian, _resolvent_solve
+from .herglotz import _as_columns, _as_complex, _check_contraction, _finite_inv, _hermitian, _resolvent_solve
 
 #: singular values below RANK_TOL * s_max count as zero
 RANK_TOL = 1e-10
@@ -50,7 +50,7 @@ class SubspaceRealization:
     def d(self) -> int:
         return self.M_basis.shape[1]
 
-    def m_function(self, lam: complex) -> np.ndarray:
+    def m_function(self, lam) -> np.ndarray:
         return compressed_resolvent(self.T, self.M_basis, lam)
 
 
@@ -110,11 +110,11 @@ def bold_T(R: SubspaceRealization) -> SubspaceRealization:
     return SubspaceRealization(T=big, M_basis=_leading_basis(big.shape[0], R.d))
 
 
-def compressed_resolvent(A: np.ndarray, M_basis: np.ndarray, lam: complex) -> np.ndarray:
-    """M_basis* (A - lam I)^{-1} M_basis with a residual-based pole guard."""
+def compressed_resolvent(A: np.ndarray, M_basis: np.ndarray, lam) -> np.ndarray:
+    """M_basis* (A - lam I)^{-1} M_basis, shape lam.shape + (d, d), with a residual-based pole guard."""
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     M_basis = _as_columns(M_basis)
-    return M_basis.conj().T @ _resolvent_solve(A, M_basis, complex(lam))
+    return M_basis.conj().T @ _resolvent_solve(A, M_basis, _as_complex(lam))
 
 
 def compressed_resolvent_schur(D: np.ndarray, K: np.ndarray, T: np.ndarray, lam: complex) -> np.ndarray:

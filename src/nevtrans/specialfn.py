@@ -1,10 +1,11 @@
 """Branch-correct square roots and the closed-form fixed points of the two
 Moebius-type transformations.
 
-All functions are pure and stateless.  The square root ``sqrt(lam**2 - c**2)``
-is computed as the product of principal square roots ``sqrt(lam - c) *
-sqrt(lam + c)``, which is analytic off the real segment ``[-c, c]`` and
-asymptotic to ``lam`` at infinity.
+All functions are pure and stateless.  They take lam of any shape: a scalar
+gives a Python complex, an array an array of the same shape.  The square root
+``sqrt(lam**2 - c**2)`` is computed as the product of principal square roots
+``sqrt(lam - c) * sqrt(lam + c)``, which is analytic off the real segment
+``[-c, c]`` and asymptotic to ``lam`` at infinity.
 """
 
 from __future__ import annotations
@@ -12,38 +13,36 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CutError
+from .herglotz import _as_complex
 
 #: points closer than this to the cut are rejected, never perturbed
 CUT_TOL = 1e-12
 
 
-def _dist_to_cut(lam: complex, c: float) -> float:
-    if -c <= lam.real <= c:
-        return abs(lam.imag)
-    endpoint = c if lam.real > c else -c
-    return abs(lam - endpoint)
+def _dist_to_cut(lam, c: float):
+    return np.abs(lam - np.clip(np.real(lam), -c, c))
 
 
-def sqrt_offcut(lam: complex, c: float) -> complex:
-    """sqrt(lam^2 - c^2) on the branch analytic off [-c, c].
+def sqrt_offcut(lam, c: float):
+    """sqrt(lam^2 - c^2) on the branch analytic off [-c, c], of lam.shape.
 
     The branch is asymptotic to ``lam`` at infinity, has positive imaginary
     part in the upper half-plane, and satisfies f(conj lam) = conj f(lam).
     """
     if not c > 0:
         raise ValueError("cut half-length c must be positive")
-    lam = complex(lam)
-    if _dist_to_cut(lam, c) < CUT_TOL:
+    lam = _as_complex(lam)
+    if np.any(_dist_to_cut(lam, c) < CUT_TOL):
         raise CutError(f"lambda={lam} lies on the cut [{-c}, {c}]")
-    return complex(np.sqrt(complex(lam - c)) * np.sqrt(complex(lam + c)))
+    return _as_complex(np.sqrt(lam - c) * np.sqrt(lam + c))
 
 
-def m0_gamma(lam: complex) -> complex:
+def m0_gamma(lam):
     """Fixed point -1/sqrt(lam^2 - 1) of M -> M^{-1}/(lam^2 - 1)."""
     return -1.0 / sqrt_offcut(lam, 1.0)
 
 
-def m0_gammahat(lam: complex) -> complex:
+def m0_gammahat(lam):
     """Fixed point (-lam + sqrt(lam^2 - 4))/2 of M -> -(M + lam)^{-1}."""
-    lam = complex(lam)
+    lam = _as_complex(lam)
     return (-lam + sqrt_offcut(lam, 2.0)) / 2.0

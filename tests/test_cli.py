@@ -1,19 +1,28 @@
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
-from nevtrans.jacobi import build_J0, build_Jhat0
+from nevtrans import cli
+from nevtrans.cli import main
+from nevtrans.herglotz import random_nevanlinna
+from nevtrans.jacobi import BlockJacobi, build_J0, build_Jhat0
+
+
+try:
+    RUNNER = CliRunner(mix_stderr=False)  # Click < 8.2 mixes stderr into stdout unless told not to
+except TypeError:
+    RUNNER = CliRunner()  # Click >= 8.2 always keeps them apart
 
 
 def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "nevtrans.cli", *args],
-        capture_output=True,
-        text=True,
-    )
+    """Run the CLI in this process; the result reads like a finished subprocess."""
+    r = RUNNER.invoke(main, args)
+    return SimpleNamespace(returncode=r.exit_code, stdout=r.stdout, stderr=r.stderr)
 
 
 @pytest.fixture()
@@ -57,10 +66,12 @@ class TestMfun:
         assert "half-plane floor" in r.stderr
 
     def test_grid_output_and_determinism(self, jhat20, tmp_path):
+        # one run through the module entry point in a fresh interpreter, one in this process
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        for out in (out1, out2):
-            r = run_cli("mfun", jhat20, "--grid", "-1:1:3,1:2:2", "--out", str(out))
-            assert r.returncode == 0
+        args = ["mfun", jhat20, "--grid", "-1:1:3,1:2:2", "--out"]
+        r = subprocess.run([sys.executable, "-m", "nevtrans.cli", *args, str(out1)], capture_output=True, text=True)
+        assert r.returncode == 0
+        assert run_cli(*args, str(out2)).returncode == 0
         assert out1.read_bytes() == out2.read_bytes()
         assert len(out1.read_text().strip().split("\n")) == 7
 
@@ -71,6 +82,32 @@ class TestMfun:
     def test_bad_lambda_format(self, jhat20):
         r = run_cli("mfun", jhat20, "--lambda", "2i")
         assert r.returncode == 2
+
+    @pytest.mark.parametrize("option, text", [
+        ("--lambda", "nan,1"), ("--lambda", "inf,1"), ("--lambda", "0,-inf"),
+        ("--grid", "nan:1:3,0.5:1:2"), ("--grid", "0:1:3,0.5:inf:2"), ("--grid", "-1e308:1e308:3,1:2:2"),
+    ])
+    def test_non_finite_lambda_is_a_parse_error(self, jhat20, option, text):
+        r = run_cli("mfun", jhat20, option, text)
+        assert r.returncode == 2
+        assert "finite" in r.stderr
+
+    def test_grid_needs_a_positive_floor(self, jhat20):
+        assert run_cli("mfun", jhat20, "--grid", "0:1:2,1:2:2", "--floor", "0").returncode == 2
+        # a single point may sit on the real axis off the spectrum
+        r = run_cli("mfun", jhat20, "--lambda", "3,0", "--floor", "0")
+        assert r.returncode == 0
+        assert r.stdout.split("\n")[1].startswith("3.0,0.0,")
+
+    def test_large_grid_is_evaluated_in_chunks(self, tmp_path, monkeypatch):
+        p = tmp_path / "j.json"
+        p.write_text(build_Jhat0(3, 30).to_json())
+        args = ["mfun", str(p), "--grid", "-1:1:7,0.5:2:3"]
+        whole = run_cli(*args)
+        monkeypatch.setattr(cli, "_CHUNK_ENTRIES", 2 * 30 * 9)  # two points per m_resolvent call
+        chunked = run_cli(*args)
+        assert whole.returncode == chunked.returncode == 0
+        assert (whole.stdout, whole.stderr) == (chunked.stdout, chunked.stderr)
 
 
 class TestIterate:
@@ -89,6 +126,11 @@ class TestIterate:
     def test_real_lambda_precondition(self):
         r = run_cli("iterate", "zero", "--lambda", "1,0", "--n", "5")
         assert r.returncode == 3
+
+    def test_non_finite_lambda_is_a_parse_error(self):
+        r = run_cli("iterate", "zero", "--lambda", "nan,1", "--n", "5")
+        assert r.returncode == 2
+        assert "finite" in r.stderr
 
     def test_invalid_start_warns_but_proceeds(self, tmp_path):
         doc = {
@@ -133,6 +175,17 @@ class TestKac:
         lengths = np.diff(doc["breakpoints"])
         assert abs(lengths[1] - 2.0) < 1e-12
 
+    def test_off_diagonal_phases_are_dropped(self, tmp_path):
+        # b and |b| are unitarily equivalent, so they give the same m and the same Hamiltonian
+        outputs = []
+        for b in ([-1.0, 1j], [1.0, 1.0]):
+            p = tmp_path / "j.json"
+            p.write_text(BlockJacobi.of([[[0.5]], [[0.0]], [[-0.3]]], [[[x]] for x in b]).to_json())
+            r = run_cli("kac", str(p), "--m", "3")
+            assert r.returncode == 0
+            outputs.append(r.stdout)
+        assert outputs[0] == outputs[1]
+
     def test_block_input_unsupported(self, tmp_path):
         p = tmp_path / "d2.json"
         p.write_text(build_J0(2, 4).to_json())
@@ -155,6 +208,15 @@ class TestNonFiniteInput:
             r = run_cli(*args)
             assert r.returncode == 2
             assert "finite" in r.stderr
+
+    def test_nan_in_a_realization_start_is_a_parse_error(self, tmp_path):
+        doc = json.loads(random_nevanlinna(1, 1, 3).to_json())
+        doc["T"][0][0][0] = float("nan")
+        p = tmp_path / "nan_start.json"
+        p.write_text(json.dumps(doc))
+        r = run_cli("iterate", str(p), "--lambda", "0,2", "--n", "3")
+        assert r.returncode == 2
+        assert "finite" in r.stderr
 
 
 class TestVerify:

@@ -41,13 +41,15 @@ class TestEvaluate:
 
     def test_pole_at_atom(self):
         F = RealizedFunction.from_measure([[0.0]], [[0.0]], [(1.5, [[1.0]])])
-        with pytest.raises(PoleError):
-            evaluate(F, 1.5 + 0j)
+        for lam in (1.5 + 0j, np.array([2j, 1.5, -1j])):  # one pole fails the whole array
+            with pytest.raises(PoleError):
+                evaluate(F, lam)
 
     def test_pole_at_eigenvalue(self):
         F = RealizedFunction.from_realization(np.diag([-1.0, 1.0]), [[0.5], [0.5]])
-        with pytest.raises(PoleError):
-            evaluate(F, 1.0 + 0j)
+        for lam in (1.0 + 0j, np.array([[2j, 1.0], [0.5j, -3j]])):
+            with pytest.raises(PoleError):
+                evaluate(F, lam)
 
     def test_derivative_pole_at_atom(self):
         F = RealizedFunction.from_measure([[0.0]], [[0.0]], [(1.5, [[1.0]])])
@@ -64,6 +66,11 @@ class TestEvaluate:
     def test_non_finite_atom_rejected(self):
         with pytest.raises(ValueError):
             RealizedFunction.from_measure([[0.0]], [[0.0]], [(float("nan"), [[1.0]])])
+        # validate=False waives the Nevanlinna invariants, not finiteness
+        text = RealizedFunction.from_measure([[0.0]], [[0.0]], [(0.5, [[1.0]])]).to_json()
+        for bad in (text.replace("0.5", "NaN"), text.replace("1.0", "Infinity")):
+            with pytest.raises(ValueError):
+                RealizedFunction.from_json(bad, validate=False)
 
     def test_conjugate_symmetry(self):
         for seed in range(5):
@@ -83,6 +90,18 @@ class TestEvaluate:
                 imM = (M - M.conj().T) / 2j
                 w = np.linalg.eigvalsh(np.sign(lam.imag) * imM)
                 assert w.min() >= -1e-11
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_lambda_array_matches_stacked_calls(self, d, lam_grid, stacked):
+        F = random_nevanlinna(d, d, 6)
+        got = evaluate(F, lam_grid)
+        assert got.shape == lam_grid.shape + (d, d)
+        assert np.array_equal(got, stacked(lambda lam: evaluate(F, lam), lam_grid))
+        # the measure variant divides in numpy, which may round the last bit unlike Python
+        G = F.measure_form()
+        got, want = evaluate(G, lam_grid), stacked(lambda lam: evaluate(G, lam), lam_grid)
+        assert np.all(np.abs(got - want) <= 4e-16 * (1.0 + np.abs(want)))
+        assert evaluate(G, lam_grid[0, 0]).shape == (d, d)
 
     def test_callable_matches_evaluate(self):
         F = random_nevanlinna(3, 1, 4)

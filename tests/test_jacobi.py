@@ -85,8 +85,9 @@ class TestMResolvent:
 
     def test_pole_error(self):
         J = build_Jhat0(1, 2)  # eigenvalues -1, 1
-        with pytest.raises(PoleError):
-            m_resolvent(J, 1.0 + 0j)
+        for lam in (1.0 + 0j, np.array([[2j, 1.0], [0.5j, -3j]])):  # one pole fails the whole array
+            with pytest.raises(PoleError):
+                m_resolvent(J, lam)
 
 
 class TestMCf:
@@ -124,8 +125,18 @@ class TestMCf:
                     assert np.max(np.abs(got - trace.values[N - 1])) < 1e-12
 
     def test_pole_error(self):
-        with pytest.raises(PoleError):
-            m_cf(build_Jhat0(1, 2), 1.0 + 0j)
+        for lam in (1.0 + 0j, np.array([[2j, 1.0], [0.5j, -3j]])):
+            with pytest.raises(PoleError):
+                m_cf(build_Jhat0(1, 2), lam)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_lambda_array_equals_stacked_calls(self, d, lam_grid, stacked):
+        J = random_jacobi(10 + d, d, 7)
+        for route in (m_cf, m_resolvent):
+            got = route(J, lam_grid)
+            assert got.shape == lam_grid.shape + (d, d)
+            assert np.array_equal(got, stacked(lambda lam: route(J, lam), lam_grid))
+            assert route(J, lam_grid[0, 0]).shape == (d, d)
 
 
 class TestTruncationConvergence:

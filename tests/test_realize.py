@@ -139,8 +139,17 @@ class TestCompressedResolvent:
         assert np.max(np.abs(inv[d:, d:] - (Rt + Rt @ K @ S @ K.conj().T @ Rt))) < 1e-11 * scale
 
     def test_pole_guard(self):
-        with pytest.raises(PoleError):
-            compressed_resolvent(np.diag([1.0, -1.0]), np.array([[1.0], [0.0]]), 1.0 + 0j)
+        for lam in (1.0 + 0j, np.array([[2j, 1.0], [0.5j, -3j]])):  # one pole fails the whole array
+            with pytest.raises(PoleError):
+                compressed_resolvent(np.diag([1.0, -1.0]), np.array([[1.0], [0.0]]), lam)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_lambda_array_equals_stacked_calls(self, d, lam_grid, stacked):
+        R = contraction_realization(20 + d, d, 7)
+        got = R.m_function(lam_grid)
+        assert got.shape == lam_grid.shape + (d, d)
+        assert np.array_equal(got, stacked(lambda lam: compressed_resolvent(R.T, R.M_basis, lam), lam_grid))
+        assert R.m_function(lam_grid[0, 0]).shape == (d, d)
 
     def test_schur_pole_guard(self):
         # lam an eigenvalue of T: the inner solve is singular

@@ -37,6 +37,8 @@ class TestSqrtOffcut:
             sqrt_offcut(0.5 + 1e-13j, 1.0)
         with pytest.raises(CutError):
             sqrt_offcut(1.0 + 1e-13j, 1.0)
+        with pytest.raises(CutError):  # one cut point fails the whole array
+            sqrt_offcut(np.array([[2j, 1.5], [0.5, -1j]]), 1.0)
 
     def test_negative_real_side(self):
         val = sqrt_offcut(-3.0 + 0j, 1.0)
@@ -58,6 +60,17 @@ class TestSqrtOffcut:
         for lam in random_offcut_points(5, 200, 1.0):
             if lam.imag > 0:
                 assert sqrt_offcut(lam, 1.0).imag > 0
+
+
+@pytest.mark.parametrize("f", [lambda lam: sqrt_offcut(lam, 1.0), lambda lam: sqrt_offcut(lam, 2.0),
+                               m0_gamma, m0_gammahat])
+def test_lambda_array_matches_stacked_calls(f, lam_grid, stacked):
+    # numpy's complex division and multiply may round the last bit unlike Python's
+    lams = np.concatenate([lam_grid, [[3.0, -2.5, 1.5 - 1e-3j, 4.0]]])
+    got, want = f(lams), stacked(f, lams)
+    assert got.shape == lams.shape
+    assert np.all(np.abs(got - want) <= 4e-16 * (1.0 + np.abs(want)))
+    assert type(f(lams[0, 0])) is complex
 
 
 class TestM0Gamma:

@@ -89,6 +89,20 @@ class TestGammaHat:
         lam = 2j
         with pytest.raises(np.linalg.LinAlgError):
             gamma_hat(np.array([[-lam]]), lam)
+        with pytest.raises(np.linalg.LinAlgError):  # one singular shift fails the whole array
+            gamma_hat(np.array([[[0.0]], [[-lam]]]), np.array([1j, lam]))
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_lambda_array_matches_stacked_calls(self, d, lam_grid, stacked):
+        F = random_nevanlinna(d, d, 6)
+        M = evaluate(F, lam_grid)
+        got = gamma_hat(M, lam_grid)
+        assert got.shape == lam_grid.shape + (d, d)
+        assert np.array_equal(got, stacked(lambda lam: gamma_hat(evaluate(F, lam), lam), lam_grid))
+        # gamma's lam^2 - 1 is a numpy product, which may round the last bit unlike Python's
+        got, want = gamma(M, lam_grid), stacked(lambda lam: gamma(evaluate(F, lam), lam), lam_grid)
+        assert np.all(np.abs(got - want) <= 4e-16 * (1.0 + np.abs(want)))
+        assert gamma(M[0, 0], lam_grid[0, 0]).shape == gamma_hat(M[0, 0], lam_grid[0, 0]).shape == (d, d)
 
 
 class TestIterate:
@@ -124,9 +138,22 @@ class TestIterate:
                 worst = max(worst, trace.residuals[-1])
         assert worst < 1e-10
 
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_lambda_array_matches_stacked_calls(self, d, lam_grid, stacked):
+        F = random_nevanlinna(d, d, 6)
+        got = iterate_gamma_hat(F, lam_grid, 6)
+        traces = stacked(lambda lam: np.array(iterate_gamma_hat(F, lam, 6).values), lam_grid)
+        assert np.array_equal(np.moveaxis(got.values, 0, -3), traces)
+        # residuals are distances to the closed-form fixed point, which numpy may round differently
+        want = stacked(lambda lam: np.array(iterate_gamma_hat(F, lam, 6).residuals), lam_grid)
+        assert np.all(np.abs(np.moveaxis(got.residuals, 0, -1) - want) <= 4e-16 * (1.0 + np.abs(traces).max()))
+        assert len(got.ratios) == 5 and got.ratios[0].shape == lam_grid.shape
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             iterate_gamma_hat(RealizedFunction.zero(1), 1.0 + 0j, 5)
+        with pytest.raises(ValueError):
+            iterate_gamma_hat(RealizedFunction.zero(1), np.array([2j, 1.0]), 5)
         with pytest.raises(ValueError):
             iterate_gamma_hat(RealizedFunction.zero(1), 2j, 0)
 
@@ -182,6 +209,11 @@ class TestTrace:
         row = lines[2].split(",")
         assert int(row[0]) == 2
         assert abs(float(row[2]) - 0.4) < 1e-15
+
+    def test_csv_needs_a_scalar_lambda(self):
+        trace = iterate_gamma_hat(RealizedFunction.zero(1), np.array([2j, 1 + 3j]), 4)
+        with pytest.raises(ValueError, match="scalar"):
+            trace.to_csv()
 
     def test_lengths_consistent(self):
         trace = iterate_gamma_hat(RealizedFunction.zero(1), 2j, 7)
