@@ -8,12 +8,14 @@ m-function lives in the truncation, certified by the Weyl-disk radius.
 from __future__ import annotations
 
 import bisect
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import OutOfRangeError
+from .herglotz import _as_complex
 from .kac import StepHamiltonian
 
 #: determinant drift beyond which a long propagator product is rejected
@@ -62,6 +64,8 @@ def transfer_matrix(theta: float, l: float, lam: complex) -> np.ndarray:
     if not l > 0:
         raise ValueError("interval length must be positive")
     lam = complex(lam)
+    if not cmath.isfinite(lam):
+        raise ValueError(f"lambda must be finite, got {lam}")
     c, s = math.cos(theta), math.sin(theta)
     gen = np.array([[s * c, s * s], [-c * c, -c * s]])  # (-J) e e^T
     return np.eye(2, dtype=complex) + lam * l * gen
@@ -99,7 +103,7 @@ def weyl_disk(H: StepHamiltonian, lam: complex, T_trunc: float) -> WeylDiskEstim
     by three exactly-computed points.  The true m-function lies inside every
     disk of a nested truncation sequence.
     """
-    lam = complex(lam)
+    lam = complex(_as_complex(lam))
     if lam.imag == 0.0:
         raise ValueError("Weyl disk requires Im lam != 0")
     phi = _propagator(H, lam, T_trunc)

@@ -14,6 +14,7 @@ import click
 import numpy as np
 
 from .acceptance import SUITES, run_suite
+from .errors import DegenerateStepError
 from .herglotz import RealizedFunction, SampleSet, is_psd_gram, nevanlinna_gram
 from .jacobi import BlockJacobi, m_cf, m_resolvent
 from .kac import StepHamiltonian, evaluate_H, kac_algorithm
@@ -121,14 +122,10 @@ def cmd_mfun(jacobi_file, lam_text, grid_text, floor, out_path):
     step = max(1, _CHUNK_ENTRIES // (J.N * J.d * J.d))
     M1 = np.concatenate([m_resolvent(J, lams[i:i + step]) for i in range(0, lams.size, step)])
     M2 = m_cf(J, lams)
-    header = ["re_lambda", "im_lambda"]
-    for i in range(J.d):
-        for j in range(J.d):
-            header += [f"re_m{i}{j}", f"im_m{i}{j}"]
-    lines = [",".join(header)]
-    for lam, M in zip(lams, M1):
-        lines.append(",".join(_fmt(x) for z in (lam, *M.ravel()) for x in (z.real, z.imag)))
-    _write_text(out_path, "\n".join(lines) + "\n")
+    # one re, im column pair per complex entry: lambda, then M row-major
+    header = ",".join(f"re_{c},im_{c}" for c in ["lambda"] + [f"m{i}{j}" for i in range(J.d) for j in range(J.d)])
+    rows = [",".join(_fmt(x) for z in (lam, *M.ravel()) for x in (z.real, z.imag)) for lam, M in zip(lams, M1)]
+    _write_text(out_path, "\n".join([header] + rows) + "\n")
     click.echo(f"max discrepancy between algorithms: {_fmt(np.max(np.abs(M1 - M2)))}", err=True)
 
 
@@ -187,12 +184,13 @@ def cmd_kac(jacobi_file, m_intervals, out_path):
     J = _load_jacobi(jacobi_file)
     if J.d != 1:
         _fail(EXIT_UNSUPPORTED, "the coefficient-to-Hamiltonian conversion needs scalar (d=1) input")
-    # the diagonal is Hermitian, so real; a diagonal unitary maps each b_k to |b_k| and keeps m
-    a = [float(blk[0, 0].real) for blk in J.a]
-    b = [float(abs(blk[0, 0])) for blk in J.b]
+    # the diagonal is Hermitian, so real; a diagonal unitary maps each b_k to |b_k| and keeps m.
+    # hypot rounds |b_k| as abs() of one number does; np.abs of a complex array may not
+    b = J.b[:, 0, 0]
+    a, b = J.a[:, 0, 0].real.tolist(), np.hypot(b.real, b.imag).tolist()
     try:
         H = kac_algorithm(a, b, m_intervals)
-    except ValueError as exc:
+    except (ValueError, DegenerateStepError) as exc:
         _fail(EXIT_PRECONDITION, str(exc))
     _write_text(out_path, H.to_json() + "\n")
     first = evaluate_H(H, 0.0)

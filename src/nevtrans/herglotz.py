@@ -7,6 +7,7 @@ K* (T - lam)^{-1} K.  Values are d x d complex matrices.
 
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import InitVar, dataclass
 
@@ -56,10 +57,14 @@ def _as_complex(x):
     """x as a Python complex when it is a scalar, else as a complex array.
 
     Every value routine passes its lambda through here: a scalar keeps Python's
-    complex arithmetic (and its rounding), an array of any shape broadcasts.
+    complex arithmetic (and its rounding), an array of any shape broadcasts, and
+    a non-finite part anywhere raises ValueError.
     """
     x = np.asarray(x, dtype=complex)
-    return complex(x) if x.ndim == 0 else x
+    x = complex(x) if x.ndim == 0 else x
+    if not (cmath.isfinite(x) if isinstance(x, complex) else np.isfinite(x).all()):
+        raise ValueError(f"lambda must be finite, got {x}")
+    return x
 
 
 def _resolvent_solve(A: np.ndarray, K: np.ndarray, lam) -> np.ndarray:
@@ -160,13 +165,10 @@ class RealizedFunction:
 
     def derivative(self, lam: complex) -> np.ndarray:
         """M'(lam), exact for the finite representations; raises PoleError at a pole."""
-        lam = complex(lam)
+        lam = complex(_as_complex(lam))
         if self.variant == "measure":
             _check_off_atoms(self.atoms, lam)
-            out = self.B.astype(complex).copy()
-            for t, W in self.atoms:
-                out = out + W / (t - lam) ** 2
-            return out
+            return sum((W / (t - lam) ** 2 for t, W in self.atoms), self.B.astype(complex))
         X = _resolvent_solve(self.T, self.K, lam)
         return self.K.conj().T @ _resolvent_solve(self.T, X, lam)
 
@@ -240,9 +242,9 @@ class SampleSet:
             raise ValueError("sample set must be nonempty")
         if len(self.vectors) != len(self.points):
             raise ValueError("one vector per sample point is required")
-        for p in self.points:
-            if complex(p).imag == 0.0:
-                raise ValueError("sample points must be off the real axis")
+        pts = np.array(self.points, dtype=complex)
+        if not (np.all(np.isfinite(pts)) and np.all(pts.imag != 0.0)):
+            raise ValueError("sample points must be finite and off the real axis")
 
     @classmethod
     def of(cls, points, vectors) -> "SampleSet":
@@ -303,19 +305,15 @@ def class_n0_interval_gram(F: RealizedFunction, S: SampleSet) -> np.ndarray:
     L(lam, xi) = [(1-lam^2) M(lam) - (1-conj(xi)^2) M(xi)* - (lam-conj(xi)) I]
                  / (lam - conj(xi)).
     """
-    pts, vecs = S.points, S.vectors
-    n = len(pts)
-    eye = np.eye(F.dim)
-    vals = [evaluate(F, p) for p in pts]
-    G = np.empty((n, n), dtype=complex)
-    for k in range(n):
-        for l in range(n):
-            lam, xi = pts[k], np.conj(pts[l])
-            denom = lam - xi
-            if abs(denom) < 1e-12:
-                raise ValueError("lam = conj(xi) collision: kernel has no defined diagonal limit")
-            L = ((1 - lam * lam) * vals[k] - (1 - xi * xi) * vals[l].conj().T - denom * eye) / denom
-            G[k, l] = vecs[k].conj() @ L @ vecs[l]
+    lam = np.array(S.points)
+    xb = lam.conj()
+    V = np.array(S.vectors)
+    denom = lam[:, None] - xb  # [k, l]: lam_k - conj(xi_l), both running over the points
+    if np.any(np.abs(denom) < 1e-12):
+        raise ValueError("lam = conj(xi) collision: kernel has no defined diagonal limit")
+    # A[k, l] = v_k* M(lam_k) v_l, so v_k* M(xi_l)* v_l = conj(A[l, k])
+    A = np.einsum("ki,kij,lj->kl", V.conj(), evaluate(F, lam), V)
+    G = ((1 - lam * lam)[:, None] * A - (1 - xb * xb) * A.conj().T - denom * (V.conj() @ V.T)) / denom
     return (G + G.conj().T) / 2.0
 
 

@@ -17,56 +17,63 @@ from .errors import CutError, PoleError
 from .herglotz import POLE_RESIDUAL_TOL, _as_complex, _finite_inv, _hermitian, _matrix_from_json, _matrix_to_json
 
 
+#: largest 1-norm condition number of an off-diagonal block; above it the block counts as singular
+OFFDIAG_COND_MAX = 1e12
+
+
 @dataclass(frozen=True)
 class BlockJacobi:
     """Finite N-block truncation of a (block) Jacobi matrix.
 
-    ``a`` are the Hermitian diagonal blocks, ``b`` the superdiagonal blocks;
-    the subdiagonal carries ``b_k*`` so the assembled matrix is Hermitian.
+    ``a`` is the (N, d, d) stack of Hermitian diagonal blocks, ``b`` the
+    (N-1, d, d) stack of superdiagonal blocks; the subdiagonal carries
+    ``b_k*`` so the assembled matrix is Hermitian.
     """
 
-    a: tuple
-    b: tuple
-    d: int
+    a: np.ndarray
+    b: np.ndarray
 
     def __post_init__(self):
-        N = len(self.a)
-        if N < 1 or len(self.b) != N - 1:
+        a, b, N, d = self.a, self.b, self.N, self.d
+        if N < 1 or len(b) != N - 1:
             raise ValueError("need N >= 1 diagonal blocks and N-1 off-diagonal blocks")
-        blocks = np.array(self.a + self.b)  # ragged blocks raise ValueError here
-        if blocks.shape != (2 * N - 1, self.d, self.d):
+        if a.shape != (N, d, d) or b.shape != (N - 1, d, d):
             raise ValueError("all blocks must be d x d")
-        if not np.all(np.isfinite(blocks)):
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             raise ValueError("blocks must be finite")
-        if not _hermitian(blocks[:N], 1e-12):
+        if not _hermitian(a, 1e-12):
             raise ValueError("diagonal blocks must be Hermitian")
-        if np.any(np.linalg.det(blocks[N:]) == 0.0):
-            raise ValueError("off-diagonal blocks must be invertible")
+        if np.any(np.linalg.cond(b, 1) > OFFDIAG_COND_MAX):
+            raise ValueError(f"off-diagonal blocks must be invertible, with condition number <= {OFFDIAG_COND_MAX:g}")
 
     @classmethod
     def of(cls, a, b) -> "BlockJacobi":
-        a = tuple(np.atleast_2d(np.asarray(x, dtype=complex)) for x in a)
-        b = tuple(np.atleast_2d(np.asarray(x, dtype=complex)) for x in b)
-        return cls(a=a, b=b, d=a[0].shape[0])
+        """From d x d blocks or scalars (d = 1), as sequences or arrays; ragged input raises ValueError."""
+        a, b = (np.array(x, dtype=complex) for x in (a, b))  # copies; ragged blocks raise ValueError here
+        a, b = (x.reshape(-1, 1, 1) if x.ndim == 1 else x for x in (a, b))  # a scalar is a 1 x 1 block
+        return cls(a=a, b=b if len(b) else b.reshape((0,) + a.shape[1:]))  # b = [] goes with any d
 
     @property
     def N(self) -> int:
         return len(self.a)
 
+    @property
+    def d(self) -> int:
+        return self.a.shape[-1]
+
     def dense(self) -> np.ndarray:
         d, N = self.d, self.N
-        J = np.zeros((N * d, N * d), dtype=complex)
-        for k, ak in enumerate(self.a):
-            J[k * d : (k + 1) * d, k * d : (k + 1) * d] = ak
-        for k, bk in enumerate(self.b):
-            J[k * d : (k + 1) * d, (k + 1) * d : (k + 2) * d] = bk
-            J[(k + 1) * d : (k + 2) * d, k * d : (k + 1) * d] = bk.conj().T
-        return J
+        J = np.zeros((N, d, N, d), dtype=complex)
+        k = np.arange(N)
+        J[k, :, k, :] = self.a
+        J[k[:-1], :, k[1:], :] = self.b
+        J[k[1:], :, k[:-1], :] = np.swapaxes(self.b.conj(), -1, -2)
+        return J.reshape(N * d, N * d)
 
     def truncate(self, N: int) -> "BlockJacobi":
         if not 1 <= N <= self.N:
             raise ValueError("truncation length out of range")
-        return BlockJacobi(a=self.a[:N], b=self.b[: N - 1], d=self.d)
+        return BlockJacobi(a=self.a[:N], b=self.b[: N - 1])
 
     def to_json(self) -> str:
         return json.dumps(
@@ -103,7 +110,7 @@ def _free_jacobi(d: int, N: int, b_divisors: list) -> BlockJacobi:
     if d < 1 or N < 2:
         raise ValueError("need d >= 1 and N >= 2")
     eye = np.eye(d, dtype=complex)
-    return BlockJacobi.of([np.zeros((d, d), dtype=complex) for _ in range(N)], [eye / s for s in b_divisors])
+    return BlockJacobi.of(np.zeros((N, d, d), dtype=complex), eye / np.reshape(b_divisors, (-1, 1, 1)))
 
 
 def m_resolvent(J: BlockJacobi, lam) -> np.ndarray:
@@ -118,8 +125,7 @@ def m_resolvent(J: BlockJacobi, lam) -> np.ndarray:
     # every right-hand side carries lam's axes (as ones): numpy < 2 reads a
     # b with one axis fewer than the matrices as a stack of vectors
     lead = (1,) * np.ndim(lam)
-    B = np.reshape(J.b, (N - 1, d, d))
-    bH = B.conj().reshape((N - 1,) + lead + (d, d))
+    bH = J.b.conj().reshape((N - 1,) + lead + (d, d))
     # forward elimination on (J - lam) X = E0
     diag = [None] * N
     rhs = [None] * N
@@ -139,9 +145,9 @@ def m_resolvent(J: BlockJacobi, lam) -> np.ndarray:
         raise PoleError(f"singular shift at lambda={lam}") from exc
     # pole guard on the O(N) block residual: a dense one would build the N d x N d matrix
     X = np.stack(x, axis=-3)
-    r = (np.array(J.a) - shift[..., None, :, :]) @ X
-    r[..., 1:, :, :] += np.swapaxes(B.conj(), -1, -2) @ X[..., :-1, :, :]
-    r[..., :-1, :, :] += B @ X[..., 1:, :, :]
+    r = (J.a - shift[..., None, :, :]) @ X
+    r[..., 1:, :, :] += np.swapaxes(J.b.conj(), -1, -2) @ X[..., :-1, :, :]
+    r[..., :-1, :, :] += J.b @ X[..., 1:, :, :]
     r[..., 0, :, :] -= eye
     res = np.max(np.linalg.norm(r, axis=(-2, -1)))
     if res > POLE_RESIDUAL_TOL * np.sqrt(d):
@@ -159,34 +165,40 @@ def m_cf(J: BlockJacobi, lam) -> np.ndarray:
     lam = _as_complex(lam)
     N = J.N
     shift = np.multiply.outer(lam, np.eye(J.d, dtype=complex))
+    bH = np.swapaxes(J.b.conj(), -1, -2)
     try:
         m = _finite_inv(J.a[N - 1] - shift)
         for k in range(N - 2, -1, -1):
-            m = _finite_inv(J.a[k] - shift - J.b[k] @ m @ J.b[k].conj().T)
+            m = _finite_inv(J.a[k] - shift - J.b[k] @ m @ bH[k])
     except np.linalg.LinAlgError as exc:
         raise PoleError(f"singular shift in the J-fraction at lambda={lam}") from exc
     return m
 
 
-def quadrature_m0(lam: complex, nodes: int, kind: int) -> complex:
+def quadrature_m0(lam, nodes: int, kind: int):
     """Gauss-Chebyshev oracle for the two closed-form fixed points.
 
     kind 1: (1/pi) int_{-1}^{1} (t-lam)^{-1} (1-t^2)^{-1/2} dt
     kind 2: (1/2pi) int_{-2}^{2} (t-lam)^{-1} sqrt(4-t^2) dt
+
+    lam of any shape gives lam.shape (a Python complex for a scalar), holding points x nodes numbers.
     """
-    lam = complex(lam)
+    lam = _as_complex(lam)
     if nodes < 1:
         raise ValueError("need at least one node")
     if kind not in (1, 2):
         raise ValueError("kind must be 1 or 2")
     # the cut of kind k is [-k, k]
-    if lam.imag == 0.0 and -kind <= lam.real <= kind:
+    if np.any((np.imag(lam) == 0.0) & (np.abs(np.real(lam)) <= kind)):
         raise CutError(f"lambda on the cut [-{kind}, {kind}]")
     i = np.arange(1, nodes + 1)
+    lam_t = np.expand_dims(lam, -1)
+    # the (points, nodes) terms are divided in place: one such array at a time
     if kind == 1:
-        t = np.cos((2 * i - 1) * np.pi / (2 * nodes))
-        return complex(np.sum(1.0 / (t - lam)) / nodes)
-    theta = i * np.pi / (nodes + 1)
-    t = 2.0 * np.cos(theta)
-    w = np.sin(theta) ** 2
-    return complex(2.0 / (nodes + 1) * np.sum(w / (t - lam)))
+        z = np.cos((2 * i - 1) * np.pi / (2 * nodes)) - lam_t
+        val = np.sum(np.divide(1.0, z, out=z), axis=-1) / nodes
+    else:
+        theta = i * np.pi / (nodes + 1)
+        z = 2.0 * np.cos(theta) - lam_t
+        val = 2.0 / (nodes + 1) * np.sum(np.divide(np.sin(theta) ** 2, z, out=z), axis=-1)
+    return complex(val) if np.ndim(lam) == 0 else val

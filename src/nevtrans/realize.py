@@ -43,10 +43,6 @@ class SubspaceRealization:
         return cls(T=np.atleast_2d(np.asarray(T, dtype=complex)), M_basis=_as_columns(M_basis))
 
     @property
-    def H_dim(self) -> int:
-        return self.T.shape[0]
-
-    @property
     def d(self) -> int:
         return self.M_basis.shape[1]
 
@@ -120,7 +116,7 @@ def compressed_resolvent(A: np.ndarray, M_basis: np.ndarray, lam) -> np.ndarray:
 def compressed_resolvent_schur(D: np.ndarray, K: np.ndarray, T: np.ndarray, lam: complex) -> np.ndarray:
     """Compressed resolvent of [[D, K*], [K, T]] via the Schur-complement form
     -(-D + K*(T - lam)^{-1}K + lam)^{-1}; raises PoleError at a pole."""
-    lam = complex(lam)
+    lam = complex(_as_complex(lam))
     D = np.atleast_2d(np.asarray(D, dtype=complex))
     K = _as_columns(K)
     T = np.atleast_2d(np.asarray(T, dtype=complex))

@@ -34,7 +34,8 @@ def sqrt_offcut(lam, c: float):
     lam = _as_complex(lam)
     if np.any(_dist_to_cut(lam, c) < CUT_TOL):
         raise CutError(f"lambda={lam} lies on the cut [{-c}, {c}]")
-    return _as_complex(np.sqrt(lam - c) * np.sqrt(lam + c))
+    root = np.sqrt(lam - c) * np.sqrt(lam + c)
+    return complex(root) if np.ndim(lam) == 0 else root
 
 
 def m0_gamma(lam):

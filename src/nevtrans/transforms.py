@@ -22,9 +22,6 @@ from .specialfn import CUT_TOL, m0_gammahat
 #: condition number above which gamma emits an ill-conditioning warning
 COND_WARN = 1e12
 
-#: double-precision floor below which contraction ratios are meaningless
-RESIDUAL_FLOOR = 1e-15
-
 
 def _opnorm(M: np.ndarray):
     return np.linalg.norm(M, 2, axis=(-2, -1))

@@ -196,6 +196,16 @@ class TestKac:
         r = run_cli("kac", jhat2, "--m", "50")
         assert r.returncode == 3
 
+    def test_degenerate_step_is_a_precondition_error(self, tmp_path):
+        # Anderson-type coefficients: the interval lengths grow until an angle step degenerates at j = 129
+        rng = np.random.default_rng(1)
+        a, b = rng.uniform(-1, 1, 200), rng.uniform(0.5, 1.5, 200)
+        p = tmp_path / "anderson.json"
+        p.write_text(BlockJacobi.of(a, b[:199]).to_json())
+        r = run_cli("kac", str(p), "--m", "200")
+        assert r.returncode == 3
+        assert "degenerate angle step at j=129" in r.stderr
+
 
 class TestNonFiniteInput:
     def test_nan_block_is_a_parse_error(self, tmp_path):

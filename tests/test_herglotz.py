@@ -272,6 +272,25 @@ class TestIntervalGram:
             worst = min(worst, min_eig(class_n0_interval_gram(F, S)))
         assert worst < -0.01
 
+    def test_matches_double_loop_reference(self):
+        for d in (1, 2):
+            F = random_contraction_resolvent(30 + d, d, 6)
+            S = sample_points(40 + d, 8, d)
+            n = len(S.points)
+            G = np.empty((n, n), dtype=complex)
+            for k in range(n):
+                for l in range(n):
+                    lam, xb = S.points[k], np.conj(S.points[l])
+                    L = (
+                        (1 - lam * lam) * evaluate(F, lam)
+                        - (1 - xb * xb) * evaluate(F, S.points[l]).conj().T
+                        - (lam - xb) * np.eye(d)
+                    ) / (lam - xb)
+                    G[k, l] = S.vectors[k].conj() @ L @ S.vectors[l]
+            G = (G + G.conj().T) / 2
+            got = class_n0_interval_gram(F, S)
+            assert np.max(np.abs(got - G)) <= 1e-14 * (1 + np.linalg.norm(G, 2))
+
     def test_conjugate_collision_rejected(self):
         F = random_contraction_resolvent(3, 1, 4)
         lam = 0.5 + 1.0j
@@ -342,6 +361,9 @@ class TestSampleSet:
     def test_rejects_real_points(self):
         with pytest.raises(ValueError):
             SampleSet.of([1.0 + 0j], [np.array([1.0])])
+        for bad in (complex("nan+1j"), complex("1+infj")):
+            with pytest.raises(ValueError):
+                SampleSet.of([1j, bad], [np.array([1.0]), np.array([1.0])])
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -350,3 +372,43 @@ class TestSampleSet:
     def test_rejects_missing_vectors(self):
         with pytest.raises(ValueError):
             SampleSet.of([1j, 2j], [np.array([1.0])])
+
+
+def _non_finite_calls():
+    """(name, call) pairs: every routine that takes a spectral parameter."""
+    from nevtrans import canonical, jacobi, realize, specialfn, transforms
+    from nevtrans.kac import hamiltonian_H0
+
+    F = random_nevanlinna(1, 1, 3)
+    Fm = F.measure_form()
+    J = jacobi.build_Jhat0(1, 5)
+    H = hamiltonian_H0(20)
+    one = np.eye(1, dtype=complex)
+    return [
+        ("evaluate realization", lambda lam: evaluate(F, lam)),
+        ("evaluate measure", lambda lam: evaluate(Fm, lam)),
+        ("derivative realization", F.derivative),
+        ("derivative measure", Fm.derivative),
+        ("m_resolvent", lambda lam: jacobi.m_resolvent(J, lam)),
+        ("m_cf", lambda lam: jacobi.m_cf(J, lam)),
+        ("quadrature_m0", lambda lam: jacobi.quadrature_m0(lam, 100, 1)),
+        ("sqrt_offcut", lambda lam: specialfn.sqrt_offcut(lam, 1.0)),
+        ("m0_gamma", specialfn.m0_gamma),
+        ("m0_gammahat", specialfn.m0_gammahat),
+        ("gamma", lambda lam: transforms.gamma(one, lam)),
+        ("gamma_hat", lambda lam: transforms.gamma_hat(one, lam)),
+        ("iterate_gamma_hat", lambda lam: transforms.iterate_gamma_hat(F, lam, 3)),
+        ("compressed_resolvent", lambda lam: realize.compressed_resolvent(F.T, F.K, lam)),
+        ("compressed_resolvent_schur", lambda lam: realize.compressed_resolvent_schur(one, F.K, F.T, lam)),
+        ("transfer_matrix", lambda lam: canonical.transfer_matrix(0.3, 1.0, lam)),
+        ("weyl_disk", lambda lam: canonical.weyl_disk(H, lam, 4.0)),
+        ("m_canonical", lambda lam: canonical.m_canonical(H, lam, 1e-6)),
+    ]
+
+
+@pytest.mark.parametrize("name", [name for name, _ in _non_finite_calls()])
+@pytest.mark.parametrize("lam", [complex("nan+1j"), complex("1+infj"), complex("-inf+0.5j")], ids=["nan", "inf", "-inf"])
+def test_non_finite_lambda_rejected(name, lam):
+    call = dict(_non_finite_calls())[name]
+    with pytest.raises(ValueError, match="must be finite"):
+        call(lam)

@@ -162,6 +162,7 @@ class TestTruncationConvergence:
 class TestQuadrature:
     def test_kind1_matches_closed_form(self):
         assert abs(quadrature_m0(2j, 10_000, 1) - m0_gamma(2j)) < 1e-10
+        assert type(quadrature_m0(2j, 100, 1)) is complex and type(quadrature_m0(2j, 100, 2)) is complex
 
     def test_kind2_matches_closed_form(self):
         assert abs(quadrature_m0(2j, 10_000, 2) - m0_gammahat(2j)) < 1e-10
@@ -175,6 +176,15 @@ class TestQuadrature:
             quadrature_m0(0.5 + 0j, 100, 1)
         with pytest.raises(CutError):
             quadrature_m0(1.5 + 0j, 100, 2)
+        with pytest.raises(CutError):  # one cut point fails the whole array
+            quadrature_m0(np.array([2j, -1.0 + 0j]), 100, 1)
+
+    @pytest.mark.parametrize("kind", [1, 2])
+    def test_lambda_array_matches_stacked_calls(self, kind, lam_grid, stacked):
+        got = quadrature_m0(lam_grid, 1000, kind)
+        want = stacked(lambda lam: quadrature_m0(lam, 1000, kind), lam_grid)
+        assert got.shape == lam_grid.shape
+        assert np.all(np.abs(got - want) <= 4e-16 * (1.0 + np.abs(want)))
 
     def test_bad_kind(self):
         with pytest.raises(ValueError):
@@ -230,6 +240,41 @@ class TestStructure:
             BlockJacobi.of([[[1j]]], [])  # non-Hermitian diagonal
         with pytest.raises(ValueError):
             BlockJacobi.of([[[0.0]], [[0.0]]], [[[0.0]]])  # singular off-diagonal
+        with pytest.raises(ValueError):  # determinant 1e-15, condition number above 1e15
+            BlockJacobi.of(np.zeros((2, 2, 2)), [[[1.0, 1.0], [1.0, 1.0 + 1e-15]]])
+        # determinant 1e-340 underflows to 0, but the block is a multiple of I
+        J = BlockJacobi.of(np.zeros((2, 2, 2)), [1e-170 * np.eye(2)])
+        assert np.array_equal(J.dense()[:2, 2:], 1e-170 * np.eye(2))
+
+    @pytest.mark.parametrize("form", ["scalars", "scalar array", "1x1 blocks", "blocks", "block array", "single block"])
+    def test_accepted_input_forms(self, form):
+        rng = np.random.default_rng(8)
+        d = 1 if form in ("scalars", "scalar array", "1x1 blocks") else 2
+        N = 1 if form == "single block" else 4
+        a = [(G + G.conj().T) / 2 for G in rng.standard_normal((N, d, d)) + 1j * rng.standard_normal((N, d, d))]
+        b = [G + 3 * np.eye(d) for G in rng.standard_normal((N - 1, d, d))]
+        want = np.zeros((N * d, N * d), dtype=complex)  # the matrix assembled block by block
+        for k in range(N):
+            want[k * d:(k + 1) * d, k * d:(k + 1) * d] = a[k]
+        for k in range(N - 1):
+            want[k * d:(k + 1) * d, (k + 1) * d:(k + 2) * d] = b[k]
+            want[(k + 1) * d:(k + 2) * d, k * d:(k + 1) * d] = b[k].conj().T
+        args = {
+            "scalars": ([float(x[0, 0].real) for x in a], [float(x[0, 0]) for x in b]),
+            "scalar array": (np.array([x[0, 0].real for x in a]), np.array([x[0, 0] for x in b])),
+            "1x1 blocks": ([x.tolist() for x in a], [x.tolist() for x in b]),
+            "blocks": (a, tuple(b)),
+            "block array": (np.array(a), np.array(b)),
+            "single block": (a, []),
+        }[form]
+        J = BlockJacobi.of(*args)
+        assert (J.N, J.d) == (N, d)
+        assert np.array_equal(J.dense(), want)
+        assert J.a.shape == (N, d, d) and J.b.shape == (N - 1, d, d)
+        for x in args[0], args[1]:  # J holds copies: a later write to an input array does not reach it
+            if isinstance(x, np.ndarray):
+                x[...] = np.nan
+        assert np.array_equal(J.dense(), want)
 
     def test_non_finite_and_ragged_blocks_rejected(self):
         nan = float("nan")
