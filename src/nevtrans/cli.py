@@ -28,9 +28,10 @@ EXIT_UNSUPPORTED = 4
 #: default minimum |Im lambda| of the mfun points
 DEFAULT_FLOOR = 1e-6
 
-#: points x N x d^2 per m_resolvent call of mfun; m_resolvent holds a few
-#: such stacks of complex numbers, so this bounds its memory to some MB
-_CHUNK_ENTRIES = 2**17
+#: points x N x d^2 per m_resolvent or m_cf call of mfun; each route holds at
+#: most about a dozen such stacks of complex numbers, so this bounds its memory
+#: to about 6 MB
+_CHUNK_ENTRIES = 2**15
 
 
 def _fail(code: int, message: str):
@@ -120,8 +121,8 @@ def cmd_mfun(jacobi_file, lam_text, grid_text, floor, out_path):
     if np.min(np.abs(lams.imag)) < floor:
         _fail(EXIT_PRECONDITION, "grid violates half-plane floor")
     step = max(1, _CHUNK_ENTRIES // (J.N * J.d * J.d))
-    M1 = np.concatenate([m_resolvent(J, lams[i:i + step]) for i in range(0, lams.size, step)])
-    M2 = m_cf(J, lams)
+    M1, M2 = (np.concatenate([route(J, lams[i:i + step]) for i in range(0, lams.size, step)])
+              for route in (m_resolvent, m_cf))
     # one re, im column pair per complex entry: lambda, then M row-major
     header = ",".join(f"re_{c},im_{c}" for c in ["lambda"] + [f"m{i}{j}" for i in range(J.d) for j in range(J.d)])
     rows = [",".join(_fmt(x) for z in (lam, *M.ravel()) for x in (z.real, z.imag)) for lam, M in zip(lams, M1)]

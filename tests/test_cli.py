@@ -104,10 +104,24 @@ class TestMfun:
         p.write_text(build_Jhat0(3, 30).to_json())
         args = ["mfun", str(p), "--grid", "-1:1:7,0.5:2:3"]
         whole = run_cli(*args)
-        monkeypatch.setattr(cli, "_CHUNK_ENTRIES", 2 * 30 * 9)  # two points per m_resolvent call
+        monkeypatch.setattr(cli, "_CHUNK_ENTRIES", 2 * 30 * 9)  # two points per m_resolvent and m_cf call
         chunked = run_cli(*args)
         assert whole.returncode == chunked.returncode == 0
+        assert "max discrepancy between algorithms" in chunked.stderr
         assert (whole.stdout, whole.stderr) == (chunked.stdout, chunked.stderr)
+
+    def test_both_routes_get_bounded_chunks(self, tmp_path, monkeypatch):
+        p = tmp_path / "j.json"
+        p.write_text(build_Jhat0(3, 30).to_json())
+        sizes = {"m_resolvent": [], "m_cf": []}
+        for name in sizes:
+            def spy(J, lam, route=getattr(cli, name), name=name):
+                sizes[name].append(np.size(lam))
+                return route(J, lam)
+            monkeypatch.setattr(cli, name, spy)
+        monkeypatch.setattr(cli, "_CHUNK_ENTRIES", 2 * 30 * 9)  # two of the 21 points per call
+        assert run_cli("mfun", str(p), "--grid", "-1:1:7,0.5:2:3").returncode == 0
+        assert sizes == {"m_resolvent": [2] * 10 + [1], "m_cf": [2] * 10 + [1]}
 
 
 class TestIterate:

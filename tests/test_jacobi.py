@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nevtrans.errors import CutError, PoleError
 from nevtrans.herglotz import RealizedFunction
@@ -28,6 +30,17 @@ def random_jacobi(seed, d, N):
         G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         b.append(G + 3 * np.eye(d))  # keep well away from singular
     return BlockJacobi.of(a, b)
+
+
+def dense_m(J, lam):
+    """Top-left block of (J - lam)^{-1} from the eigendecomposition of the dense matrix."""
+    w, V = np.linalg.eigh(J.dense())
+    return (V[: J.d] / (w - lam)) @ V[: J.d].conj().T
+
+
+def route_tol(M, lam):
+    """The tolerance of the Jacobi routes against dense_m: the resolvent bound 1/|Im lam| scales it."""
+    return 1e-12 * (1.0 + np.max(np.abs(M))) / min(1.0, abs(lam.imag))
 
 
 class TestBuilders:
@@ -139,6 +152,73 @@ class TestMCf:
             assert route(J, lam_grid[0, 0]).shape == (d, d)
 
 
+class TestReductions:
+    """Both routes are log-depth reductions: the odd and even counts of every level, against a dense solve."""
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 63, 64, 65])
+    def test_matches_dense_eigendecomposition(self, d, N):
+        J = random_jacobi(100 * d + N, d, N)
+        for im in (1e-3, -1e-3, 1.0, -1.0):
+            lam = complex(0.37, im)
+            want = dense_m(J, lam)
+            for route in (m_resolvent, m_cf):
+                got = route(J, lam)
+                assert got.shape == (d, d)
+                assert np.max(np.abs(got - want)) <= route_tol(want, lam), route.__name__
+
+    def test_pole_of_an_odd_length_chain(self):
+        J = build_Jhat0(1, 3)  # eigenvalues -sqrt(2), 0, sqrt(2)
+        for lam in (0.0, np.array([2j, 0.0, -1j])):
+            for route in (m_resolvent, m_cf):
+                with pytest.raises(PoleError):
+                    route(J, lam)
+
+    def test_results_do_not_keep_the_reduction_alive(self):
+        # a view into the levels would hold O(N d^2) numbers per returned d x d block
+        J = random_jacobi(3, 2, 64)
+        for lam in (1j, np.array([1j, -2j])):
+            for route in (m_resolvent, m_cf):
+                assert route(J, lam).base is None
+
+    def test_solve_right_hand_sides_have_the_matrices_ndim(self, monkeypatch):
+        # numpy < 2 reads a right-hand side with one axis fewer than the
+        # matrices as a stack of vectors; a 1-d lam array would hit that
+        solve = np.linalg.solve
+        seen = []
+
+        def checked(a, b):
+            seen.append(np.ndim(a) == np.ndim(b))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", checked)
+        J = random_jacobi(7, 2, 5)
+        for lam in (1j, np.array([1j, 2 - 1j]), np.array([[1j], [-0.5j]])):
+            for route in (m_resolvent, m_cf):
+                route(J, lam)
+        assert seen and all(seen)
+
+
+@st.composite
+def jacobi_and_lambda(draw):
+    d, N = draw(st.integers(1, 3)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    G = rng.standard_normal((N, d, d)) + 1j * rng.standard_normal((N, d, d))
+    b = rng.standard_normal((N - 1, d, d)) + 1j * rng.standard_normal((N - 1, d, d))
+    J = BlockJacobi.of((G + np.swapaxes(G.conj(), -1, -2)) / 2, b)
+    im = draw(st.floats(0.01, 3.0)) * draw(st.sampled_from([-1, 1]))
+    return J, complex(draw(st.floats(-4.0, 4.0)), im)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(jacobi_and_lambda())
+def test_routes_agree_with_the_dense_eigendecomposition(case):
+    J, lam = case
+    want = dense_m(J, lam)
+    for route in (m_resolvent, m_cf):
+        assert np.max(np.abs(route(J, lam) - want)) <= route_tol(want, lam), route.__name__
+
+
 class TestTruncationConvergence:
     def test_jhat0_limit(self):
         lam = 1 + 2j
@@ -216,6 +296,11 @@ class TestChebyshevRecurrence:
 
 
 class TestStructure:
+    def test_equality_is_identity(self):
+        J = build_Jhat0(1, 3)
+        assert (J == J) is True
+        assert (J == build_Jhat0(1, 3)) is False
+
     def test_truncate(self):
         J = build_Jhat0(1, 6)
         assert np.array_equal(J.truncate(3).dense(), build_Jhat0(1, 3).dense())
