@@ -2,7 +2,9 @@
 
 Per constant-angle interval the propagator of J x' = lam H x has the exact
 nilpotent closed form I + lam*l*(-J) e e^T, so the only numerical error in the
-m-function lives in the truncation, certified by the Weyl-disk radius.
+m-function lives in the truncation, certified by the Weyl-disk radius.  The
+propagator composes these 2x2 matrices entry by entry in Python complex
+scalars, which on one lambda costs less than a numpy product per interval.
 """
 
 from __future__ import annotations
@@ -67,8 +69,9 @@ def transfer_matrix(theta: float, l: float, lam: complex) -> np.ndarray:
     if not cmath.isfinite(lam):
         raise ValueError(f"lambda must be finite, got {lam}")
     c, s = math.cos(theta), math.sin(theta)
-    gen = np.array([[s * c, s * s], [-c * c, -c * s]])  # (-J) e e^T
-    return np.eye(2, dtype=complex) + lam * l * gen
+    z = lam * l
+    # I + z (-J) e e^T with (-J) e e^T = [[s c, s s], [-c c, -c s]]
+    return np.array([[1.0 + z * (s * c), z * (s * s)], [-z * (c * c), 1.0 - z * (c * s)]])
 
 
 def _propagator(H: StepHamiltonian, lam: complex, T_trunc: float) -> np.ndarray:
@@ -77,22 +80,29 @@ def _propagator(H: StepHamiltonian, lam: complex, T_trunc: float) -> np.ndarray:
     idx = bisect.bisect_left(bp, T_trunc)
     if idx >= len(bp) or abs(bp[idx] - T_trunc) > 1e-12:
         raise OutOfRangeError(f"T={T_trunc} is not a breakpoint within the covered range")
-    phi = np.eye(2, dtype=complex)
+    # phi's entries as Python complex scalars: a 2x2 product in scalars costs
+    # less than one numpy matmul call.  Each interval still goes through
+    # transfer_matrix, the one home of its closed form; perfbench's tracer
+    # counts those calls as the intervals propagated.
+    p00, p01, p10, p11 = 1 + 0j, 0j, 0j, 1 + 0j
+    thetas = H.thetas
     for j in range(idx):
         # the angle enters reflected: of the two orientations compatible with
         # the m = x2(0)/x1(0) convention, this is the one pinned by the
         # closed-form anchor oracles (see weyl_disk)
-        phi = transfer_matrix(-H.thetas[j], bp[j + 1] - bp[j], lam) @ phi
+        (t00, t01), (t10, t11) = transfer_matrix(-thetas[j], bp[j + 1] - bp[j], lam).tolist()
+        p00, p01, p10, p11 = (t00 * p00 + t01 * p10, t00 * p01 + t01 * p11,
+                              t10 * p00 + t11 * p10, t10 * p01 + t11 * p11)
         if (j + 1) % 16 == 0 or j + 1 == idx:
-            det = phi[0, 0] * phi[1, 1] - phi[0, 1] * phi[1, 0]
+            det = p00 * p11 - p01 * p10
             # entries grow like |lam|^T, so the unit determinant can only be
             # certified relative to the cancellation scale of ad - bc
-            scale = max(1.0, abs(phi[0, 0] * phi[1, 1]) + abs(phi[0, 1] * phi[1, 0]))
+            scale = max(1.0, abs(p00 * p11) + abs(p01 * p10))
             if abs(det - 1.0) > DET_DRIFT_TOL * scale:
                 raise ArithmeticError(
                     f"relative determinant drift {abs(det - 1.0) / scale:.3e} in the propagator product"
                 )
-    return phi
+    return np.array([[p00, p01], [p10, p11]])
 
 
 def weyl_disk(H: StepHamiltonian, lam: complex, T_trunc: float) -> WeylDiskEstimate:

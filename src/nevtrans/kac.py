@@ -3,7 +3,10 @@
 Implements the angle/length recursion converting (a_k, b_k) into a step
 Hamiltonian whose canonical-system m-function equals the Jacobi m-function,
 plus the explicit alternating Hamiltonian of the free discrete Schroedinger
-matrix and the angle-shift constructions for the gamma_hat iterates.
+matrix and the angle-shift constructions for the gamma_hat iterates.  The
+shifts act on whole float64 arrays of angles and breakpoints at once, with the
+same IEEE additions in the same order as shifting each angle on its own, so
+they give the same bits.
 
 Angles are stored unreduced (never taken mod pi) so the strict monotonicity
 theta_{j+1} in (theta_j, theta_j + pi) stays testable; evaluation reduces
@@ -12,6 +15,7 @@ implicitly through cos/sin.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass
@@ -35,21 +39,21 @@ class StepHamiltonian:
     thetas: tuple
 
     def __post_init__(self):
-        bp, th = self.breakpoints, self.thetas
-        if len(bp) != len(th) + 1 or len(th) < 1:
+        if len(self.breakpoints) != len(self.thetas) + 1 or len(self.thetas) < 1:
             raise ValueError("need one more breakpoint than angles")
-        if not all(map(math.isfinite, bp + th)):
+        bp, th = np.array(self.breakpoints), np.array(self.thetas)
+        if not (np.isfinite(bp).all() and np.isfinite(th).all()):
             raise ValueError("breakpoints and angles must be finite")
         if bp[0] != 0.0:
             raise ValueError("domain must start at t = 0")
-        if any(b1 - b0 <= 0 for b0, b1 in zip(bp, bp[1:])):
+        if not (bp[1:] > bp[:-1]).all():
             raise ValueError("breakpoints must be strictly increasing")
         if abs(th[0] - math.pi / 2) > 1e-12:
             raise ValueError("first interval must carry theta = pi/2")
 
     @classmethod
     def of(cls, breakpoints, thetas) -> "StepHamiltonian":
-        return cls(tuple(float(t) for t in breakpoints), tuple(float(x) for x in thetas))
+        return cls(tuple(map(float, breakpoints)), tuple(map(float, thetas)))
 
     @property
     def m(self) -> int:
@@ -77,7 +81,7 @@ def evaluate_H(H: StepHamiltonian, t: float) -> np.ndarray:
     t = float(t)
     if t < 0.0 or t >= H.t_end:
         raise OutOfRangeError(f"t={t} outside covered range [0, {H.t_end})")
-    j = int(np.searchsorted(H.breakpoints, t, side="right")) - 1
+    j = bisect.bisect_right(H.breakpoints, t) - 1
     th = H.thetas[j]
     c, s = math.cos(th), math.sin(th)
     return np.array([[c * c, c * s], [c * s, s * s]])
@@ -136,15 +140,17 @@ def hamiltonian_H0(m: int) -> StepHamiltonian:
     return StepHamiltonian.of([float(j) for j in range(m + 1)], _quarter_turns(m))
 
 
-def _quarter_turns(count: int, start: float = 0.0) -> list:
-    """start + pi/2, start + 2*(pi/2), ... by repeated addition.
+def _quarter_turns(count: int) -> list:
+    """pi/2, 2*(pi/2), ... by repeated addition.
 
-    Every angle-shift construction in this module accumulates pi/2 steps in
-    this one order, so Hamiltonians built along different routes agree
+    Every angle-shift construction in this module accumulates pi/2 steps one
+    addition at a time: here along the list, in hamiltonian_Hn as n in-place
+    additions to the whole angle array (never th + n*pi/2, which rounds
+    differently).  So Hamiltonians built along different routes agree
     bit-for-bit, not just to rounding.
     """
     out = []
-    th = start
+    th = 0.0
     for _ in range(count):
         th = th + math.pi / 2.0
         out.append(th)
@@ -164,9 +170,11 @@ def hamiltonian_Hn(H: StepHamiltonian, n: int) -> StepHamiltonian:
     # H's first interval [0, 1) shifts to [n, n+1) with angle
     # pi/2 + n pi/2 = (n+1) pi/2, so the prefix continues seamlessly and the
     # whole of [0, n+1) matches the alternating Hamiltonian.
-    shifted_thetas = [_quarter_turns(n, start=th)[-1] for th in H.thetas]
-    shifted_bp = [t + n for t in H.breakpoints[1:]]
-    return StepHamiltonian.of(prefix_bp + shifted_bp, prefix_thetas + shifted_thetas)
+    shifted_thetas = np.array(H.thetas)
+    for _ in range(n):
+        shifted_thetas += math.pi / 2.0
+    shifted_bp = np.array(H.breakpoints[1:]) + n
+    return StepHamiltonian.of(prefix_bp + shifted_bp.tolist(), prefix_thetas + shifted_thetas.tolist())
 
 
 def gammahat_hamiltonian(H: StepHamiltonian) -> StepHamiltonian:

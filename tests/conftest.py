@@ -29,3 +29,16 @@ def stacked():
         vals = [f(lam) for lam in lams.ravel()]
         return np.array(vals).reshape(lams.shape + np.shape(vals[0]))
     return call
+
+
+@pytest.fixture()
+def decaying_coefficients():
+    """decaying_coefficients(length, seed): scalar a_k -> 0 and b_k -> 1 at rate
+    1/(1+k)^2, the coefficients of the kac-deep benchmark workload, as lists."""
+    def draw(length, seed):
+        rng = np.random.default_rng(seed)
+        decay = 1.0 / (1.0 + np.arange(length)) ** 2
+        a = 0.5 * rng.uniform(-1, 1, length) * decay
+        b = 1.0 + 0.4 * rng.uniform(-1, 1, length - 1) * decay[:-1]
+        return a.tolist(), b.tolist()
+    return draw

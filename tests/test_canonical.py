@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from nevtrans import canonical
 from nevtrans.canonical import (
     WeylDiskEstimate,
     _propagator,
@@ -39,6 +40,11 @@ class TestTransferMatrix:
             M = transfer_matrix(theta, l, lam)
             scale = 1.0 + abs(M[0, 0] * M[1, 1]) + abs(M[0, 1] * M[1, 0])
             assert abs(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0] - 1.0) < 1e-14 * scale
+            for th, z in ((theta, lam), (0.0, lam), (math.pi / 2, lam), (theta, 1j * lam.imag)):
+                c, s = math.cos(th), math.sin(th)
+                gen = np.array([[s * c, s * s], [-c * c, -c * s]])  # (-J) e e^T
+                # equal values; only the sign of a zero entry may differ
+                assert np.array_equal(transfer_matrix(th, l, z), np.eye(2, dtype=complex) + z * l * gen)
         assert np.max(np.abs(transfer_matrix(1.0, 1.0, 1e-300) - np.eye(2))) < 1e-299
 
     def test_length_validation(self):
@@ -80,6 +86,39 @@ class TestWeylDisk:
     def test_requires_nonreal_lambda(self):
         with pytest.raises(ValueError):
             weyl_disk(hamiltonian_H0(10), 2.0 + 0j, 4.0)
+
+    @pytest.mark.parametrize("m", [64, 512])
+    def test_propagator_matches_matrix_product(self, m, decaying_coefficients):
+        H = kac_algorithm(*decaying_coefficients(m, 7), m)
+        for lam in (2j, 0.3 + 0.05j, 1 + 1j, -1.5 + 0.5j):
+            ref = np.eye(2, dtype=complex)
+            for j in range(m):
+                ref = transfer_matrix(-H.thetas[j], H.breakpoints[j + 1] - H.breakpoints[j], lam) @ ref
+            got = _propagator(H, lam, H.t_end)
+            assert isinstance(got, np.ndarray) and got.shape == (2, 2) and got.dtype == complex
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_determinant_guard(self, monkeypatch, decaying_coefficients):
+        H = kac_algorithm(*decaying_coefficients(64, 7), 64)
+        monkeypatch.setattr(canonical, "DET_DRIFT_TOL", 0.0)
+        with pytest.raises(ArithmeticError, match="determinant drift"):
+            _propagator(H, 1 + 1j, H.t_end)
+        monkeypatch.undo()
+        # a transfer matrix with determinant (1 + 1e-6)^2 drifts past the
+        # default tolerance at a small lambda, where the entries stay O(1);
+        # the check first runs after 16 intervals
+        calls = []
+
+        def scaled(theta, l, lam):
+            calls.append(theta)
+            return (1 + 1e-6) * transfer_matrix(theta, l, lam)
+
+        monkeypatch.setattr(canonical, "transfer_matrix", scaled)
+        with pytest.raises(ArithmeticError, match="determinant drift"):
+            _propagator(H, 0.05j, H.t_end)
+        assert len(calls) == 16
+        with pytest.raises(ArithmeticError, match="determinant drift"):
+            _propagator(H, 0.05j, H.breakpoints[3])  # and after the last interval
 
     def test_propagator_symplectic(self):
         H = hamiltonian_H0(60)

@@ -20,6 +20,22 @@ COEFF_SETS = [
 ]
 
 
+def hamiltonian_Hn_per_angle(H, n):
+    """Reference H_n with each angle shifted on its own by n accumulated quarter
+    turns and each breakpoint by n; hamiltonian_Hn must match it bit for bit."""
+
+    def quarter_turns(count, start=0.0):
+        out, th = [], start
+        for _ in range(count):
+            th = th + math.pi / 2.0
+            out.append(th)
+        return out
+
+    breakpoints = [float(j) for j in range(n + 1)] + [t + n for t in H.breakpoints[1:]]
+    thetas = quarter_turns(n) + [quarter_turns(n, start=th)[-1] for th in H.thetas]
+    return breakpoints, thetas
+
+
 class TestKacAlgorithm:
     def test_free_schroedinger_coefficients(self):
         m = 52
@@ -113,10 +129,24 @@ class TestHamiltonianH0:
 class TestHamiltonianHn:
     def test_fixed_hamiltonian(self):
         H0 = hamiltonian_H0(10)
-        out = hamiltonian_Hn(H0, 1)
-        expected = hamiltonian_H0(11)
-        assert list(out.breakpoints) == list(expected.breakpoints)
-        assert list(out.thetas) == list(expected.thetas)
+        for n in range(1, 17):
+            out = hamiltonian_Hn(H0, n)
+            expected = hamiltonian_H0(10 + n)
+            assert list(out.breakpoints) == list(expected.breakpoints)
+            assert list(out.thetas) == list(expected.thetas)
+
+    @pytest.mark.parametrize("source", ["jump", "mixed", "decaying-2000"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 33])
+    def test_bit_identical_to_per_angle_shift(self, source, n, decaying_coefficients):
+        if source == "decaying-2000":
+            H = kac_algorithm(*decaying_coefficients(2000, 3), 2000)
+        else:
+            H = kac_algorithm(*COEFF_SETS[source == "mixed"], 10)
+        breakpoints, thetas = hamiltonian_Hn_per_angle(H, n)
+        Hn = hamiltonian_Hn(H, n)
+        assert list(Hn.breakpoints) == breakpoints
+        assert list(Hn.thetas) == thetas
+        assert all(type(x) is float for x in Hn.breakpoints + Hn.thetas)
 
     def test_prefix_property(self):
         for a, b in COEFF_SETS[:2]:
@@ -130,7 +160,7 @@ class TestHamiltonianHn:
     def test_two_path_equality(self):
         for a, b in COEFF_SETS[:2]:
             H = kac_algorithm(a, b, 10)
-            for n in range(1, 9):
+            for n in range(1, 17):
                 Hn = hamiltonian_Hn(H, n)
                 shifted = kac_algorithm([0.0] * n + list(a), [1.0] * n + list(b), 10 + n)
                 th1 = np.array(Hn.thetas)
@@ -182,12 +212,31 @@ class TestStepHamiltonian:
             StepHamiltonian.of([1.0, 2.0], [math.pi / 2])  # does not start at 0
         with pytest.raises(ValueError):
             StepHamiltonian.of([0.0, 1.0], [math.pi / 2, math.pi])  # length mismatch
+        with pytest.raises(ValueError, match="strictly increasing"):
+            StepHamiltonian.of([0.0, 1.0, 1.0], [math.pi / 2, math.pi])  # equal neighbours
+        with pytest.raises(ValueError, match="strictly increasing"):
+            StepHamiltonian.of([0.0, 1.0, 2.0, 3.0, 2.5], [math.pi / 2, math.pi, 4.0, 5.0])  # decreasing tail
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            StepHamiltonian.of([0.0, float("nan")], [math.pi / 2])
-        with pytest.raises(ValueError):
-            StepHamiltonian.of([0.0, 1.0, 2.0], [math.pi / 2, float("nan")])
+        for bad in (float("nan"), math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                StepHamiltonian.of([0.0, bad], [math.pi / 2])
+            with pytest.raises(ValueError, match="finite"):
+                StepHamiltonian.of([0.0, 1.0, 2.0], [math.pi / 2, bad])
+
+    def test_accepted_forms(self):
+        bp, th = [0.0, 1, 2.5], [math.pi / 2, 4]
+        forms = [
+            (bp, th),
+            (tuple(bp), tuple(th)),
+            (np.array(bp), np.array(th)),
+            ((x for x in bp), (x for x in th)),
+        ]
+        for breakpoints, thetas in forms:
+            H = StepHamiltonian.of(breakpoints, thetas)
+            assert H.breakpoints == (0.0, 1.0, 2.5)
+            assert H.thetas == (math.pi / 2, 4.0)
+            assert all(type(x) is float for x in H.breakpoints + H.thetas)
 
     def test_accessors(self):
         H = hamiltonian_H0(5)
