@@ -133,7 +133,7 @@ def check_kac():
     H = kac.kac_algorithm([0.0] * m, [1.0] * m, m)
     worst = max(
         float(np.max(np.abs(H.lengths() - 1.0))),
-        max(abs(H.thetas[j] - (j + 1) * math.pi / 2.0) for j in range(51)),
+        float(np.max(np.abs(H.thetas[:51] - np.arange(1, 52) * math.pi / 2.0))),
     )
     first_ok = bool(
         np.max(np.abs(kac.evaluate_H(H, 0.5) - np.array([[0.0, 0.0], [0.0, 1.0]]))) < 1e-12
@@ -163,15 +163,11 @@ def check_hn_two_path():
         for n in range(1, 9):
             Hn = kac.hamiltonian_Hn(H, n)
             shifted = kac.kac_algorithm([0.0] * n + list(a), [1.0] * n + list(b), 12 + n)
-            th1 = np.array(Hn.thetas)
-            th2 = np.array(shifted.thetas)[: len(th1)]
-            bp1 = np.array(Hn.breakpoints)
-            bp2 = np.array(shifted.breakpoints)[: len(bp1)]
-            worst = max(worst, float(np.max(np.abs(th1 - th2))), float(np.max(np.abs(bp1 - bp2))))
+            th, bp = Hn.thetas, Hn.breakpoints
+            worst = max(worst, float(np.max(np.abs(th - shifted.thetas[: len(th)]))),
+                        float(np.max(np.abs(bp - shifted.breakpoints[: len(bp)]))))
             H0 = kac.hamiltonian_H0(n + 1)
-            if list(Hn.breakpoints[: n + 2]) != list(H0.breakpoints) or any(
-                abs(x - y) > 0.0 for x, y in zip(Hn.thetas[: n + 1], H0.thetas)
-            ):
+            if not (np.array_equal(bp[: n + 2], H0.breakpoints) and np.array_equal(th[: n + 1], H0.thetas)):
                 prefix_ok = False
     ok = worst < 1e-12 and prefix_ok
     return ok, f"max two-path deviation {worst:.3e} (tol 1e-12), prefix property exact: {prefix_ok}"
@@ -234,7 +230,7 @@ def check_hamiltonian_scheme():
     H0 = kac.hamiltonian_H0(20)
     out = kac.gammahat_hamiltonian(H0)
     expected = kac.hamiltonian_H0(21)
-    exact = list(out.breakpoints) == list(expected.breakpoints) and list(out.thetas) == list(expected.thetas)
+    exact = np.array_equal(out.breakpoints, expected.breakpoints) and np.array_equal(out.thetas, expected.thetas)
     worst = 0.0
     for a, b in _COEFF_SETS:
         H = kac.kac_algorithm(a, b, 12)
@@ -242,8 +238,8 @@ def check_hamiltonian_scheme():
         h1 = kac.hamiltonian_Hn(H, 1)
         worst = max(
             worst,
-            float(np.max(np.abs(np.array(g.breakpoints) - np.array(h1.breakpoints)))),
-            float(np.max(np.abs(np.array(g.thetas) - np.array(h1.thetas)))),
+            float(np.max(np.abs(g.breakpoints - h1.breakpoints))),
+            float(np.max(np.abs(g.thetas - h1.thetas))),
         )
     ok = exact and worst <= 1e-12
     return ok, f"fixed Hamiltonian exact: {exact}; scheme vs shift construction deviation {worst:.3e} (tol 1e-12)"

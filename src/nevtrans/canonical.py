@@ -3,13 +3,13 @@
 Per constant-angle interval the propagator of J x' = lam H x has the exact
 nilpotent closed form I + lam*l*(-J) e e^T, so the only numerical error in the
 m-function lives in the truncation, certified by the Weyl-disk radius.  The
-propagator composes these 2x2 matrices entry by entry in Python complex
-scalars, which on one lambda costs less than a numpy product per interval.
+propagator reads the angles and lengths as Python floats once per call and
+composes the 2x2 matrices entry by entry in Python complex scalars: on one
+lambda that costs less than a numpy product per interval.
 """
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import math
 from dataclasses import dataclass
@@ -77,7 +77,7 @@ def transfer_matrix(theta: float, l: float, lam: complex) -> np.ndarray:
 def _propagator(H: StepHamiltonian, lam: complex, T_trunc: float) -> np.ndarray:
     """Fundamental matrix Phi with x(T) = Phi x(0), composed interval by interval."""
     bp = H.breakpoints
-    idx = bisect.bisect_left(bp, T_trunc)
+    idx = int(np.searchsorted(bp, T_trunc))
     if idx >= len(bp) or abs(bp[idx] - T_trunc) > 1e-12:
         raise OutOfRangeError(f"T={T_trunc} is not a breakpoint within the covered range")
     # phi's entries as Python complex scalars: a 2x2 product in scalars costs
@@ -85,12 +85,12 @@ def _propagator(H: StepHamiltonian, lam: complex, T_trunc: float) -> np.ndarray:
     # transfer_matrix, the one home of its closed form; perfbench's tracer
     # counts those calls as the intervals propagated.
     p00, p01, p10, p11 = 1 + 0j, 0j, 0j, 1 + 0j
-    thetas = H.thetas
-    for j in range(idx):
+    steps = zip(H.thetas[:idx].tolist(), np.diff(bp[: idx + 1]).tolist())
+    for j, (theta, length) in enumerate(steps):
         # the angle enters reflected: of the two orientations compatible with
         # the m = x2(0)/x1(0) convention, this is the one pinned by the
         # closed-form anchor oracles (see weyl_disk)
-        (t00, t01), (t10, t11) = transfer_matrix(-thetas[j], bp[j + 1] - bp[j], lam).tolist()
+        (t00, t01), (t10, t11) = transfer_matrix(-theta, length, lam).tolist()
         p00, p01, p10, p11 = (t00 * p00 + t01 * p10, t00 * p01 + t01 * p11,
                               t10 * p00 + t11 * p10, t10 * p01 + t11 * p11)
         if (j + 1) % 16 == 0 or j + 1 == idx:
@@ -142,21 +142,22 @@ def m_canonical(H: StepHamiltonian, lam: complex, tol: float) -> WeylDiskEstimat
     if not tol > 0:
         raise ValueError("tolerance must be positive")
     bp = H.breakpoints
-    t_end = bp[-1]
+    t_end = H.t_end
     target = min(2.0, t_end)
     last_idx = 0
     while True:
         # snap to the nearest breakpoint at or below the target, always
         # advancing at least one interval
-        idx = bisect.bisect_right(bp, target + 1e-12) - 1
+        idx = int(np.searchsorted(bp, target + 1e-12, side="right")) - 1
         idx = min(max(idx, last_idx + 1), len(bp) - 1)
         last_idx = idx
-        est = weyl_disk(H, lam, bp[idx])
+        T = float(bp[idx])
+        est = weyl_disk(H, lam, T)
         if est.radius < tol:
             return est
-        if bp[idx] >= t_end - 1e-12:
+        if T >= t_end - 1e-12:
             return WeylDiskEstimate(
                 lam=est.lam, center=est.center, radius=est.radius,
                 truncation_T=est.truncation_T, converged=False,
             )
-        target = min(2.0 * max(bp[idx], 1.0), t_end)
+        target = min(2.0 * max(T, 1.0), t_end)

@@ -141,7 +141,7 @@ def _nevanlinna_warning_check(F: RealizedFunction, lam: complex):
                 "warning: starting function fails the Nevanlinna kernel test; "
                 "iterating anyway", err=True,
             )
-    except Exception:
+    except (ArithmeticError, ValueError):  # poles, singular solves, bad shapes; a bug propagates
         click.echo("warning: Nevanlinna kernel test could not be evaluated", err=True)
 
 

@@ -1,8 +1,8 @@
 """Finite-data matrix-valued Nevanlinna functions.
 
-A function is stored either as a discrete-measure triple (A, B, atoms) or as
-a realization pair (T, K) with selfadjoint T, giving the compressed resolvent
-K* (T - lam)^{-1} K.  Values are d x d complex matrices.
+A function is stored either as a discrete measure (A, B and stacks of atom
+positions and weights) or as a realization pair (T, K) with selfadjoint T, giving
+the compressed resolvent K* (T - lam)^{-1} K.  Values are d x d complex matrices.
 """
 
 from __future__ import annotations
@@ -68,23 +68,36 @@ def _as_complex(x):
 
 
 def _resolvent_solve(A: np.ndarray, K: np.ndarray, lam) -> np.ndarray:
-    """(A - lam I)^{-1} K, shape lam.shape + K.shape; PoleError when the residual
-    shows some lam is numerically an eigenvalue of A."""
+    """(A - lam I)^{-1} K for one K or a stack over lam's axes; PoleError when the
+    residual shows some lam is numerically an eigenvalue of A."""
     shifted = A - np.multiply.outer(lam, np.eye(A.shape[0]))
     try:
-        X = np.linalg.solve(shifted, K.reshape((1,) * np.ndim(lam) + K.shape))  # matrices, also to numpy < 2
+        X = np.linalg.solve(shifted, K.reshape((1,) * (shifted.ndim - K.ndim) + K.shape))  # matrices, also to numpy < 2
     except np.linalg.LinAlgError as exc:
         raise PoleError(f"lambda={lam} is an eigenvalue of the operator") from exc
     res = np.linalg.norm(shifted @ X - K, axis=(-2, -1))
-    if np.any(res > POLE_RESIDUAL_TOL * max(np.linalg.norm(K), 1e-300)):
+    if np.any(res > POLE_RESIDUAL_TOL * np.maximum(np.linalg.norm(K, axis=(-2, -1)), 1e-300)):
         raise PoleError(f"lambda={lam} is numerically an eigenvalue of the operator")
     return X
 
 
-def _check_off_atoms(atoms: tuple, lam) -> None:
-    for t, _ in atoms:
-        if np.any(np.abs(lam - t) < _POLE_TOL):
-            raise PoleError(f"lambda={lam} coincides with atom t={t}")
+def _atom_gaps(t: np.ndarray, lam) -> np.ndarray:
+    """t_j - lam, shape lam.shape + (m,) for the m atom positions t; raises
+    PoleError when some lam lies within _POLE_TOL of an atom."""
+    gaps = t - np.asarray(lam)[..., None]
+    near = np.abs(gaps) < _POLE_TOL
+    if near.any():
+        raise PoleError(f"lambda={lam} coincides with atom t={t[near.nonzero()[-1][0]]}")
+    return gaps
+
+
+def _add_in_atom_order(first, terms: np.ndarray) -> np.ndarray:
+    """first + terms[..., 0, :, :] + terms[..., 1, :, :] + ..., added in atom order
+    (numpy's sum may pair terms up, which rounds differently); first broadcasts."""
+    *lead, m, d, _ = terms.shape
+    stack = np.empty((*lead, m + 1, d, d), dtype=complex)
+    stack[..., 0, :, :], stack[..., 1:, :, :] = first, terms
+    return stack.cumsum(axis=-3)[..., -1, :, :]
 
 
 def _matrix_to_json(M: np.ndarray) -> list:
@@ -98,29 +111,35 @@ def _matrix_from_json(rows: list) -> np.ndarray:
     return M
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RealizedFunction:
     """A matrix-valued Nevanlinna function given by finite data.
 
     Exactly one of the two variants is populated:
 
-    * ``measure``: value A + B*lam + sum_j W_j ((t_j-lam)^{-1} - t_j/(t_j^2+1))
+    * ``measure``: value A + B*lam + sum_j W_j ((t_j-lam)^{-1} - t_j/(t_j^2+1)),
+      with t the (m,) float stack ``atom_t`` and W the (m, d, d) stack ``atom_W``
     * ``realization``: value K* (T - lam I)^{-1} K with T = T*, ||K|| <= 1
+
+    ``==`` is identity: a comparison of array fields has no single truth value.
     """
 
     variant: str
     dim: int
     A: np.ndarray | None = None
     B: np.ndarray | None = None
-    atoms: tuple = ()
+    atom_t: np.ndarray | None = None
+    atom_W: np.ndarray | None = None
     T: np.ndarray | None = None
     K: np.ndarray | None = None
     validate: InitVar[bool] = True
 
     def __post_init__(self, validate: bool):
-        ts = [t for t, _ in self.atoms]
-        if not np.all(np.isfinite(ts)):
-            raise ValueError("atom positions must be finite")
+        if self.variant == "measure":
+            if not np.all(np.isfinite(self.atom_t)):
+                raise ValueError("atom positions must be finite")
+            if self.atom_W.shape != self.atom_t.shape + (self.dim, self.dim):
+                raise ValueError("need one d x d weight per atom position")
         if not validate:
             return
         if self.variant == "measure":
@@ -128,9 +147,9 @@ class RealizedFunction:
                 raise ValueError("A must be Hermitian")
             if not is_psd_gram(self.B):
                 raise ValueError("B must be PSD")
-            if len(set(ts)) != len(ts):
+            if len(np.unique(self.atom_t)) != len(self.atom_t):
                 raise ValueError("atom positions must be distinct")
-            if not all(is_psd_gram(W) for _, W in self.atoms):
+            if not is_psd_gram(self.atom_W):
                 raise ValueError("atom weights must be PSD")
         elif self.variant == "realization":
             if not _hermitian(self.T):
@@ -141,10 +160,14 @@ class RealizedFunction:
 
     @classmethod
     def from_measure(cls, A, B, atoms, *, validate: bool = True) -> "RealizedFunction":
+        """From A, B and (t, W) atom pairs; a scalar W stands for a 1 x 1 weight."""
         A = np.atleast_2d(np.asarray(A, dtype=complex))
         B = np.atleast_2d(np.asarray(B, dtype=complex))
-        atoms = tuple((float(t), np.atleast_2d(np.asarray(W, dtype=complex))) for t, W in atoms)
-        return cls("measure", A.shape[0], A=A, B=B, atoms=atoms, validate=validate)
+        atoms = list(atoms)
+        atom_t = np.array([t for t, _ in atoms], dtype=float)
+        atom_W = np.array([np.atleast_2d(W) for _, W in atoms], dtype=complex)
+        atom_W = atom_W if atoms else np.zeros((0,) + A.shape, complex)
+        return cls("measure", A.shape[0], A=A, B=B, atom_t=atom_t, atom_W=atom_W, validate=validate)
 
     @classmethod
     def from_realization(cls, T, K, *, validate: bool = True) -> "RealizedFunction":
@@ -163,12 +186,15 @@ class RealizedFunction:
     def __call__(self, lam: complex) -> np.ndarray:
         return evaluate(self, lam)
 
-    def derivative(self, lam: complex) -> np.ndarray:
-        """M'(lam), exact for the finite representations; raises PoleError at a pole."""
-        lam = complex(_as_complex(lam))
+    def derivative(self, lam) -> np.ndarray:
+        """M'(lam), shape lam.shape + (d, d), exact for the finite representations;
+        raises PoleError when any lam is a pole."""
+        lam = _as_complex(lam)
         if self.variant == "measure":
-            _check_off_atoms(self.atoms, lam)
-            return sum((W / (t - lam) ** 2 for t, W in self.atoms), self.B.astype(complex))
+            g = _atom_gaps(self.atom_t, lam)
+            # (t - lam)^2 rounded like a Python complex product, which numpy's may not be
+            sq = g.real * g.real - g.imag * g.imag + 2j * (g.real * g.imag)
+            return _add_in_atom_order(self.B, self.atom_W / sq[..., None, None])
         X = _resolvent_solve(self.T, self.K, lam)
         return self.K.conj().T @ _resolvent_solve(self.T, X, lam)
 
@@ -178,20 +204,20 @@ class RealizedFunction:
             return self
         w, V = np.linalg.eigh(self.T)
         KV = V.conj().T @ self.K  # rows are P_j-components of K in eigenbasis
-        atoms: list[tuple[float, np.ndarray]] = []
+        atoms = []
         i = 0
         while i < len(w):
             j = i
             while j + 1 < len(w) and w[j + 1] - w[i] < 1e-12:
                 j += 1
             block = KV[i : j + 1]
-            atoms.append((float(np.mean(w[i : j + 1])), block.conj().T @ block))
+            atoms.append((np.mean(w[i : j + 1]), block.conj().T @ block))
             i = j + 1
-        d = self.dim
+        t, W = (np.array(x) for x in zip(*atoms))
         # measure form carries the atom-shifted affine part of the standard
         # integral representation so that values agree exactly
-        A = sum(W * (t / (t * t + 1.0)) for t, W in atoms) if atoms else np.zeros((d, d), dtype=complex)
-        return RealizedFunction.from_measure(np.atleast_2d(A), np.zeros((d, d)), atoms)
+        A = _add_in_atom_order(np.zeros((self.dim, self.dim)), W * (t / (t * t + 1.0))[:, None, None])
+        return RealizedFunction("measure", self.dim, A=A, B=np.zeros_like(A), atom_t=t, atom_W=W)
 
     # -- JSON ------------------------------------------------------------
 
@@ -202,7 +228,7 @@ class RealizedFunction:
                 "dim": self.dim,
                 "A": _matrix_to_json(self.A),
                 "B": _matrix_to_json(self.B),
-                "atoms": [{"t": t, "W": _matrix_to_json(W)} for t, W in self.atoms],
+                "atoms": [{"t": t, "W": _matrix_to_json(W)} for t, W in zip(self.atom_t.tolist(), self.atom_W)],
             }
         else:
             doc = {
@@ -256,11 +282,9 @@ def evaluate(F: RealizedFunction, lam) -> np.ndarray:
     lam is an atom / eigenvalue of T.  A realization solves one n x n system per lam."""
     lam = _as_complex(lam)
     if F.variant == "measure":
-        _check_off_atoms(F.atoms, lam)
-        out = F.A + F.B * np.expand_dims(lam, (-2, -1))
-        for t, W in F.atoms:
-            out = out + W * np.expand_dims(1.0 / (t - lam) - t / (t * t + 1.0), (-2, -1))
-        return np.asarray(out, dtype=complex)
+        t = F.atom_t
+        weights = 1.0 / _atom_gaps(t, lam) - t / (t * t + 1.0)
+        return _add_in_atom_order(F.A + F.B * np.expand_dims(lam, (-2, -1)), F.atom_W * weights[..., None, None])
     return F.K.conj().T @ _resolvent_solve(F.T, F.K, lam)
 
 
@@ -270,10 +294,7 @@ def asymptotic_C(F: RealizedFunction) -> np.ndarray:
         return F.K.conj().T @ F.K
     if np.max(np.abs(F.B)) > 0:
         raise UnboundedLimitError("linear term B != 0: iy M(iy) is unbounded")
-    C = np.zeros((F.dim, F.dim), dtype=complex)
-    for _, W in F.atoms:
-        C = C + W
-    return C
+    return _add_in_atom_order(np.zeros((F.dim, F.dim)), F.atom_W)
 
 
 def _nev_kernel(F: RealizedFunction, lam: complex, mu: complex) -> np.ndarray:
@@ -322,10 +343,10 @@ def min_eig(G: np.ndarray) -> float:
 
 
 def is_psd_gram(G: np.ndarray, tol: float = PSD_TOL) -> bool:
-    """Scale-relative PSD check of the Hermitian part of G: its eigenvalues w
-    satisfy min w >= -tol * (1 + max |w|)."""
-    w = np.linalg.eigvalsh((G + G.conj().T) / 2.0)
-    return bool(w.min() >= -tol * (1.0 + np.abs(w).max()))
+    """Scale-relative PSD check of the Hermitian part of each matrix of the stack
+    G (..., n, n), which may be empty: its eigenvalues w satisfy min w >= -tol * (1 + max |w|)."""
+    w = np.linalg.eigvalsh((G + np.swapaxes(G.conj(), -1, -2)) / 2.0)
+    return bool(np.all(w.min(axis=-1) >= -tol * (1.0 + np.abs(w).max(axis=-1))))
 
 
 def random_nevanlinna(seed: int, d: int, n: int, *, contraction: bool = True) -> RealizedFunction:

@@ -3,10 +3,10 @@
 Implements the angle/length recursion converting (a_k, b_k) into a step
 Hamiltonian whose canonical-system m-function equals the Jacobi m-function,
 plus the explicit alternating Hamiltonian of the free discrete Schroedinger
-matrix and the angle-shift constructions for the gamma_hat iterates.  The
-shifts act on whole float64 arrays of angles and breakpoints at once, with the
-same IEEE additions in the same order as shifting each angle on its own, so
-they give the same bits.
+matrix and the angle-shift constructions for the gamma_hat iterates.  They
+build and read breakpoints and angles as float64 arrays, and shift them whole
+with the same IEEE additions in the same order as shifting each angle on its
+own, so they give the same bits.
 
 Angles are stored unreduced (never taken mod pi) so the strict monotonicity
 theta_{j+1} in (theta_j, theta_j + pi) stays testable; evaluation reduces
@@ -15,7 +15,6 @@ implicitly through cos/sin.
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 from dataclasses import dataclass
@@ -27,21 +26,23 @@ from .errors import DegenerateStepError, OutOfRangeError
 _SIN_TOL = 1e-14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepHamiltonian:
     """Breakpoints t_0 = 0 < t_1 < ... < t_m and one angle per interval.
 
     H(t) on [t_j, t_{j+1}) is the rank-one trace-one projector onto
     (cos theta_j, sin theta_j).  The first interval always carries pi/2.
+    ``breakpoints`` (m+1,) and ``thetas`` (m,) are float64 arrays.  ``==`` is
+    identity: a field-wise comparison of arrays has no single truth value.
     """
 
-    breakpoints: tuple
-    thetas: tuple
+    breakpoints: np.ndarray
+    thetas: np.ndarray
 
     def __post_init__(self):
-        if len(self.breakpoints) != len(self.thetas) + 1 or len(self.thetas) < 1:
-            raise ValueError("need one more breakpoint than angles")
-        bp, th = np.array(self.breakpoints), np.array(self.thetas)
+        bp, th = self.breakpoints, self.thetas
+        if bp.ndim != 1 or th.ndim != 1 or len(bp) != len(th) + 1 or len(th) < 1:
+            raise ValueError("need one more breakpoint than angles, both 1-d")
         if not (np.isfinite(bp).all() and np.isfinite(th).all()):
             raise ValueError("breakpoints and angles must be finite")
         if bp[0] != 0.0:
@@ -53,7 +54,8 @@ class StepHamiltonian:
 
     @classmethod
     def of(cls, breakpoints, thetas) -> "StepHamiltonian":
-        return cls(tuple(map(float, breakpoints)), tuple(map(float, thetas)))
+        """From sequences, arrays or iterables of reals; copies them."""
+        return cls(np.fromiter(breakpoints, float), np.fromiter(thetas, float))
 
     @property
     def m(self) -> int:
@@ -61,14 +63,13 @@ class StepHamiltonian:
 
     @property
     def t_end(self) -> float:
-        return self.breakpoints[-1]
+        return float(self.breakpoints[-1])
 
     def lengths(self) -> np.ndarray:
-        bp = np.asarray(self.breakpoints)
-        return bp[1:] - bp[:-1]
+        return np.diff(self.breakpoints)
 
     def to_json(self) -> str:
-        return json.dumps({"breakpoints": list(self.breakpoints), "thetas": list(self.thetas)}, indent=2)
+        return json.dumps({"breakpoints": self.breakpoints.tolist(), "thetas": self.thetas.tolist()}, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "StepHamiltonian":
@@ -81,8 +82,7 @@ def evaluate_H(H: StepHamiltonian, t: float) -> np.ndarray:
     t = float(t)
     if t < 0.0 or t >= H.t_end:
         raise OutOfRangeError(f"t={t} outside covered range [0, {H.t_end})")
-    j = bisect.bisect_right(H.breakpoints, t) - 1
-    th = H.thetas[j]
+    th = H.thetas[np.searchsorted(H.breakpoints, t, side="right") - 1]
     c, s = math.cos(th), math.sin(th)
     return np.array([[c * c, c * s], [c * s, s * s]])
 
@@ -126,10 +126,8 @@ def kac_algorithm(a, b, m: int) -> StepHamiltonian:
         theta_prev = thetas[-1]
         thetas.append(theta_next)
         lengths.append(l_next)
-    breakpoints = [0.0]
-    for l in lengths:
-        breakpoints.append(breakpoints[-1] + l)
-    return StepHamiltonian.of(breakpoints, thetas)
+    # cumsum adds in sequence, as a running sum would
+    return StepHamiltonian(np.concatenate([[0.0], np.cumsum(lengths)]), np.array(thetas))
 
 
 def hamiltonian_H0(m: int) -> StepHamiltonian:
@@ -137,24 +135,19 @@ def hamiltonian_H0(m: int) -> StepHamiltonian:
     Hamiltonian of the free discrete Schroedinger matrix."""
     if m < 1:
         raise ValueError("need at least one interval")
-    return StepHamiltonian.of([float(j) for j in range(m + 1)], _quarter_turns(m))
+    return StepHamiltonian(np.arange(m + 1.0), _quarter_turns(m))
 
 
-def _quarter_turns(count: int) -> list:
+def _quarter_turns(count: int) -> np.ndarray:
     """pi/2, 2*(pi/2), ... by repeated addition.
 
     Every angle-shift construction in this module accumulates pi/2 steps one
-    addition at a time: here along the list, in hamiltonian_Hn as n in-place
-    additions to the whole angle array (never th + n*pi/2, which rounds
-    differently).  So Hamiltonians built along different routes agree
-    bit-for-bit, not just to rounding.
+    addition at a time: here along the array (cumsum adds in sequence), in
+    hamiltonian_Hn as n in-place additions to the whole angle array (never
+    th + n*pi/2, which rounds differently).  So Hamiltonians built along
+    different routes agree bit-for-bit, not just to rounding.
     """
-    out = []
-    th = 0.0
-    for _ in range(count):
-        th = th + math.pi / 2.0
-        out.append(th)
-    return out
+    return np.full(count, math.pi / 2.0).cumsum()
 
 
 def hamiltonian_Hn(H: StepHamiltonian, n: int) -> StepHamiltonian:
@@ -165,16 +158,13 @@ def hamiltonian_Hn(H: StepHamiltonian, n: int) -> StepHamiltonian:
     """
     if n < 1:
         raise OutOfRangeError("need shift index n >= 1")
-    prefix_thetas = _quarter_turns(n)
-    prefix_bp = [float(j) for j in range(n + 1)]
     # H's first interval [0, 1) shifts to [n, n+1) with angle
     # pi/2 + n pi/2 = (n+1) pi/2, so the prefix continues seamlessly and the
     # whole of [0, n+1) matches the alternating Hamiltonian.
-    shifted_thetas = np.array(H.thetas)
+    thetas = np.concatenate([_quarter_turns(n), H.thetas])
     for _ in range(n):
-        shifted_thetas += math.pi / 2.0
-    shifted_bp = np.array(H.breakpoints[1:]) + n
-    return StepHamiltonian.of(prefix_bp + shifted_bp.tolist(), prefix_thetas + shifted_thetas.tolist())
+        thetas[n:] += math.pi / 2.0
+    return StepHamiltonian(np.concatenate([np.arange(n + 1.0), H.breakpoints[1:] + n]), thetas)
 
 
 def gammahat_hamiltonian(H: StepHamiltonian) -> StepHamiltonian:

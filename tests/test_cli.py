@@ -9,6 +9,7 @@ from click.testing import CliRunner
 
 from nevtrans import cli
 from nevtrans.cli import main
+from nevtrans.errors import PoleError
 from nevtrans.herglotz import random_nevanlinna
 from nevtrans.jacobi import BlockJacobi, build_J0, build_Jhat0
 
@@ -164,6 +165,22 @@ class TestIterate:
         assert r.returncode == 0
         assert "warning" in r.stderr.lower()
         assert len(out.read_text().strip().split("\n")) == 9
+
+    def test_an_unevaluable_kernel_test_warns(self, monkeypatch, capsys):
+        def pole(F, S):
+            raise PoleError("at a pole")
+
+        monkeypatch.setattr(cli, "nevanlinna_gram", pole)
+        cli._nevanlinna_warning_check(random_nevanlinna(1, 1, 3), 2j)
+        assert "could not be evaluated" in capsys.readouterr().err
+
+    def test_a_fault_in_the_kernel_test_propagates(self, monkeypatch):
+        def broken(F, S):
+            raise TypeError("not a pole or a bad value")
+
+        monkeypatch.setattr(cli, "nevanlinna_gram", broken)
+        with pytest.raises(TypeError):
+            cli._nevanlinna_warning_check(random_nevanlinna(1, 1, 3), 2j)
 
 
 class TestKac:

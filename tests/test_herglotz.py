@@ -7,6 +7,7 @@ from nevtrans.errors import NotContractionError, PoleError, UnboundedLimitError
 from nevtrans.herglotz import (
     RealizedFunction,
     SampleSet,
+    _resolvent_solve,
     asymptotic_C,
     class_n0_interval_gram,
     evaluate,
@@ -55,13 +56,23 @@ class TestEvaluate:
         F = RealizedFunction.from_measure([[0.0]], [[0.0]], [(1.5, [[1.0]])])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(PoleError):
-                F.derivative(1.5 + 0j)
+            for lam in (1.5 + 0j, np.array([2j, 1.5, -1j])):
+                with pytest.raises(PoleError):
+                    F.derivative(lam)
 
     def test_derivative_pole_at_eigenvalue(self):
         F = RealizedFunction.from_realization(np.diag([-1.0, 1.0]), [[0.5], [0.5]])
+        for lam in (1.0 + 0j, np.array([[2j, 1.0], [0.5j, -3j]])):
+            with pytest.raises(PoleError):
+                F.derivative(lam)
+
+    def test_pole_guard_is_scaled_per_point(self):
+        # a stack of right-hand sides, as in the derivative's second solve: a
+        # large one at one lam must not hide a pole at another
+        F = random_nevanlinna(0, 1, 4)
+        pole = np.linalg.eigvalsh(F.T)[0]
         with pytest.raises(PoleError):
-            F.derivative(1.0 + 0j)
+            _resolvent_solve(F.T, np.stack([F.K, 1e12 * F.K]), np.array([pole, 2j]))
 
     def test_non_finite_atom_rejected(self):
         with pytest.raises(ValueError):
@@ -94,18 +105,81 @@ class TestEvaluate:
     @pytest.mark.parametrize("d", [1, 3])
     def test_lambda_array_matches_stacked_calls(self, d, lam_grid, stacked):
         F = random_nevanlinna(d, d, 6)
-        got = evaluate(F, lam_grid)
-        assert got.shape == lam_grid.shape + (d, d)
-        assert np.array_equal(got, stacked(lambda lam: evaluate(F, lam), lam_grid))
+        for f in (lambda lam: evaluate(F, lam), F.derivative):
+            got = f(lam_grid)
+            assert got.shape == lam_grid.shape + (d, d)
+            assert np.array_equal(got, stacked(f, lam_grid))
         # the measure variant divides in numpy, which may round the last bit unlike Python
         G = F.measure_form()
-        got, want = evaluate(G, lam_grid), stacked(lambda lam: evaluate(G, lam), lam_grid)
-        assert np.all(np.abs(got - want) <= 4e-16 * (1.0 + np.abs(want)))
-        assert evaluate(G, lam_grid[0, 0]).shape == (d, d)
+        for f in (lambda lam: evaluate(G, lam), G.derivative):
+            got, want = f(lam_grid), stacked(f, lam_grid)
+            assert got.shape == lam_grid.shape + (d, d)
+            assert np.all(np.abs(got - want) <= 4e-16 * (1.0 + np.abs(want)))
+            assert f(lam_grid[0, 0]).shape == (d, d)
+
+    def test_solve_right_hand_sides_have_the_matrices_ndim(self, monkeypatch):
+        # numpy < 2 reads a right-hand side with one axis fewer than the
+        # matrices as a stack of vectors; the derivative's second solve takes
+        # the first one's stack over lam
+        solve = np.linalg.solve
+        seen = []
+
+        def checked(a, b):
+            seen.append(np.ndim(a) == np.ndim(b))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", checked)
+        F = random_nevanlinna(4, 2, 5)
+        for lam in (1j, np.array([1j, 2 - 1j]), np.array([[1j], [-0.5j]])):
+            evaluate(F, lam)
+            F.derivative(lam)
+        assert len(seen) == 9 and all(seen)
 
     def test_callable_matches_evaluate(self):
         F = random_nevanlinna(3, 1, 4)
         assert np.array_equal(F(1j), evaluate(F, 1j))
+
+
+class TestStorage:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_equality_is_identity(self, d):
+        for make in (lambda: RealizedFunction.zero(d), lambda: random_nevanlinna(1, d, 4)):
+            F = make()
+            assert (F == F) is True
+            assert (F == make()) is False
+
+    def test_atoms_are_stacks(self):
+        F = RealizedFunction.from_measure(np.zeros((2, 2)), np.zeros((2, 2)), [(0.5, np.eye(2)), (-1, 2 * np.eye(2))])
+        assert F.atom_t.dtype == np.float64 and list(F.atom_t) == [0.5, -1.0]
+        assert F.atom_W.dtype == complex and np.array_equal(F.atom_W, [np.eye(2), 2 * np.eye(2)])
+        Z = RealizedFunction.zero(3)
+        assert Z.atom_t.shape == (0,) and Z.atom_W.shape == (0, 3, 3)
+        assert np.array_equal(asymptotic_C(Z), np.zeros((3, 3)))
+
+    def test_one_weight_of_the_right_shape_per_atom(self):
+        for W in (np.eye(3), [[1.0, 0.0]]):
+            with pytest.raises(ValueError, match="weight"):
+                RealizedFunction.from_measure(np.zeros((2, 2)), np.zeros((2, 2)), [(0.5, W)], validate=False)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_measure_values_match_the_per_atom_loop(self, d, lam_grid):
+        # the reference adds one atom at a time, in Python scalars where lam is one
+        G = random_nevanlinna(d, d, 10).measure_form()
+        atoms = list(zip(G.atom_t.tolist(), G.atom_W))
+        value = G.A + G.B * lam_grid[..., None, None]
+        for t, W in atoms:
+            value = value + W * (1.0 / (t - lam_grid) - t / (t * t + 1.0))[..., None, None]
+        assert np.array_equal(evaluate(G, lam_grid), value)
+        for lam in lam_grid.ravel().tolist():
+            assert np.array_equal(G.derivative(lam), sum((W / (t - lam) ** 2 for t, W in atoms), G.B))
+        assert np.array_equal(asymptotic_C(G), sum((W for _, W in atoms), np.zeros((d, d), complex)))
+
+    def test_psd_check_of_a_stack(self):
+        assert is_psd_gram(np.zeros((0, 2, 2)))
+        W = np.stack([np.eye(2), np.diag([1.0, -1.0])])
+        assert is_psd_gram(W[:1]) and not is_psd_gram(W)
+        # each matrix is measured against its own scale, as one check per matrix would
+        assert not is_psd_gram(np.stack([1e12 * np.eye(2), np.diag([1.0, -1e-3])]))
 
 
 class TestMeasureRealizationEquivalence:

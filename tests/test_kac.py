@@ -146,7 +146,7 @@ class TestHamiltonianHn:
         Hn = hamiltonian_Hn(H, n)
         assert list(Hn.breakpoints) == breakpoints
         assert list(Hn.thetas) == thetas
-        assert all(type(x) is float for x in Hn.breakpoints + Hn.thetas)
+        assert Hn.breakpoints.dtype == Hn.thetas.dtype == np.float64
 
     def test_prefix_property(self):
         for a, b in COEFF_SETS[:2]:
@@ -200,8 +200,9 @@ class TestStepHamiltonian:
     def test_json_round_trip(self):
         H = kac_algorithm(*COEFF_SETS[1][:2], 8)
         H2 = StepHamiltonian.from_json(H.to_json())
-        assert H.breakpoints == H2.breakpoints
-        assert H.thetas == H2.thetas
+        assert np.array_equal(H.breakpoints, H2.breakpoints)
+        assert np.array_equal(H.thetas, H2.thetas)
+        assert H2.breakpoints.dtype == H2.thetas.dtype == np.float64
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -234,9 +235,27 @@ class TestStepHamiltonian:
         ]
         for breakpoints, thetas in forms:
             H = StepHamiltonian.of(breakpoints, thetas)
-            assert H.breakpoints == (0.0, 1.0, 2.5)
-            assert H.thetas == (math.pi / 2, 4.0)
-            assert all(type(x) is float for x in H.breakpoints + H.thetas)
+            assert list(H.breakpoints) == [0.0, 1.0, 2.5]
+            assert list(H.thetas) == [math.pi / 2, 4.0]
+            assert H.breakpoints.dtype == H.thetas.dtype == np.float64
+
+    def test_of_copies_its_input(self):
+        bp, th = np.array([0.0, 1.0, 2.5]), np.array([math.pi / 2, 4.0])
+        H = StepHamiltonian.of(bp, th)
+        bp[1], th[1] = 7.0, 7.0
+        assert list(H.breakpoints) == [0.0, 1.0, 2.5]
+        assert list(H.thetas) == [math.pi / 2, 4.0]
+
+    def test_fields_must_be_one_dimensional(self):
+        with pytest.raises(ValueError, match="1-d"):
+            StepHamiltonian(np.array([[0.0, 1.0]]), np.array([math.pi / 2]))
+        with pytest.raises(ValueError, match="1-d"):
+            StepHamiltonian(np.array([0.0, 1.0]), np.array([[math.pi / 2]]))
+
+    def test_equality_is_identity(self):
+        H = hamiltonian_H0(3)
+        assert (H == H) is True
+        assert (H == hamiltonian_H0(3)) is False
 
     def test_accessors(self):
         H = hamiltonian_H0(5)
