@@ -1,4 +1,4 @@
-"""Named verification suites: each check returns (name, passed, detail).
+"""Named verification suites: each check returns (passed, detail).
 
 The CLI ``verify`` subcommand runs a suite by name; the test suite runs all
 of them.  Every tolerance is pinned here.
@@ -16,8 +16,6 @@ from .herglotz import (
     SampleSet,
     class_n0_interval_gram,
     evaluate,
-    is_psd_gram,
-    min_eig,
     nevanlinna_gram,
     random_contraction_resolvent,
     random_nevanlinna,
@@ -79,18 +77,14 @@ def check_truncation():
     return ok, f"free-Schroedinger N=200 error {e1:.3e} (tol 1e-8), Chebyshev N=400 error {e2:.3e} (tol 1e-10)"
 
 
-def _random_subspace_realization(seed: int, d: int, n: int) -> realize.SubspaceRealization:
-    F = random_contraction_resolvent(seed, d, n)
-    return realize.SubspaceRealization.of(F.T, F.K)
-
-
 def check_wollen():
     rng = np.random.default_rng(11)
     worst = 0.0
     worst_norm = 0.0
     simple_ok = True
     for trial in range(10):
-        R = _random_subspace_realization(100 + trial, 3, 12)
+        F = random_contraction_resolvent(100 + trial, 3, 12)
+        R = realize.SubspaceRealization.of(F.T, F.K)
         bT = realize.bold_T(R)
         worst_norm = max(worst_norm, float(np.linalg.norm(bT.T, 2)))
         lams = np.array([complex(rng.uniform(-3, 3), rng.choice([-1, 1]) * rng.uniform(0.3, 3)) for _ in range(20)])
@@ -203,10 +197,10 @@ def check_kernels():
         S = SampleSet.of(pts, vecs)
         F = random_nevanlinna(200 + trial, d, n)
         G = nevanlinna_gram(F, S)
-        worst_nev = max(worst_nev, -min_eig(G) / (1.0 + np.linalg.norm(G, 2)))
+        worst_nev = max(worst_nev, -np.linalg.eigvalsh(G).min() / (1.0 + np.linalg.norm(G, 2)))
         Fc = random_contraction_resolvent(300 + trial, d, n)
         G2 = class_n0_interval_gram(Fc, S)
-        worst_int = max(worst_int, -min_eig(G2) / (1.0 + np.linalg.norm(G2, 2)))
+        worst_int = max(worst_int, -np.linalg.eigvalsh(G2).min() / (1.0 + np.linalg.norm(G2, 2)))
     # dual-formula identity for the interval kernel
     Fc = random_contraction_resolvent(42, 2, 8)
     T, K = Fc.T, Fc.K
@@ -235,11 +229,13 @@ def check_hamiltonian_scheme():
     for a, b in _COEFF_SETS:
         H = kac.kac_algorithm(a, b, 12)
         g = kac.gammahat_hamiltonian(H)
-        h1 = kac.hamiltonian_Hn(H, 1)
+        # the scheme by its definition: breakpoints (0, t + 1), angles (pi/2, theta + pi/2)
+        bp = np.concatenate([[0.0], H.breakpoints + 1.0])
+        th = np.concatenate([[math.pi / 2.0], H.thetas + math.pi / 2.0])
         worst = max(
             worst,
-            float(np.max(np.abs(g.breakpoints - h1.breakpoints))),
-            float(np.max(np.abs(g.thetas - h1.thetas))),
+            float(np.max(np.abs(g.breakpoints - bp))),
+            float(np.max(np.abs(g.thetas - th))),
         )
     ok = exact and worst <= 1e-12
     return ok, f"fixed Hamiltonian exact: {exact}; scheme vs shift construction deviation {worst:.3e} (tol 1e-12)"
@@ -259,8 +255,3 @@ SUITES = {
     "kernels": check_kernels,
     "hamiltonian-scheme": check_hamiltonian_scheme,
 }
-
-
-def run_suite(name: str):
-    """Run one named suite; returns (passed, detail)."""
-    return SUITES[name]()

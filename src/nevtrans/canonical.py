@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .kac import StepHamiltonian
 #: determinant drift beyond which a long propagator product is rejected
 DET_DRIFT_TOL = 1e-9
 
-#: sentinel radius for the (non-occurring at Im lam != 0) line case
+#: sentinel radius for the line case, met at T = 0 where nothing is propagated
 RADIUS_LINE = math.inf
 
 
@@ -37,16 +37,8 @@ class WeylDiskEstimate:
     truncation_T: float
     converged: bool = True
 
-    @property
-    def m_value(self) -> complex:
-        return self.center
-
-    @property
-    def error_bound(self) -> float:
-        return self.radius
-
-    def contains(self, w: complex, slack: float = 1e-12) -> bool:
-        return abs(w - self.center) <= self.radius + slack
+    def contains(self, w: complex) -> bool:
+        return abs(w - self.center) <= self.radius + 1e-12
 
     def to_json_dict(self) -> dict:
         return {
@@ -74,6 +66,17 @@ def transfer_matrix(theta: float, l: float, lam: complex) -> np.ndarray:
     return np.array([[1.0 + z * (s * c), z * (s * s)], [-z * (c * c), 1.0 - z * (c * s)]])
 
 
+def _normalised(a, b, c, d):
+    """a, b, c and d times 2^-k, where k brings the largest modulus into [0.5, 1),
+    and k: exact, as only the exponents change.  ArithmeticError when one overflows."""
+    big = max(abs(a), abs(b), abs(c), abs(d))
+    if not math.isfinite(big):
+        raise ArithmeticError("the propagator product is not finite")
+    k = math.frexp(big)[1]
+    f = 2.0**-k
+    return a * f, b * f, c * f, d * f, k
+
+
 def _propagator(H: StepHamiltonian, lam: complex, T_trunc: float) -> np.ndarray:
     """Fundamental matrix Phi with x(T) = Phi x(0), composed interval by interval."""
     bp = H.breakpoints
@@ -94,13 +97,17 @@ def _propagator(H: StepHamiltonian, lam: complex, T_trunc: float) -> np.ndarray:
         p00, p01, p10, p11 = (t00 * p00 + t01 * p10, t00 * p01 + t01 * p11,
                               t10 * p00 + t11 * p10, t10 * p01 + t11 * p11)
         if (j + 1) % 16 == 0 or j + 1 == idx:
-            det = p00 * p11 - p01 * p10
+            # the products of entries may overflow where the entries do not, so
+            # the check runs on the normalised entries, whose determinant is 2^-2k
+            a, b, c, d, k = _normalised(p00, p01, p10, p11)
+            unit = 2.0 ** (-2 * k)
+            det = a * d - b * c
             # entries grow like |lam|^T, so the unit determinant can only be
             # certified relative to the cancellation scale of ad - bc
-            scale = max(1.0, abs(p00 * p11) + abs(p01 * p10))
-            if abs(det - 1.0) > DET_DRIFT_TOL * scale:
+            scale = max(unit, abs(a * d) + abs(b * c))
+            if abs(det - unit) > DET_DRIFT_TOL * scale:
                 raise ArithmeticError(
-                    f"relative determinant drift {abs(det - 1.0) / scale:.3e} in the propagator product"
+                    f"relative determinant drift {abs(det - unit) / scale:.3e} in the propagator product"
                 )
     return np.array([[p00, p01], [p10, p11]])
 
@@ -118,13 +125,13 @@ def weyl_disk(H: StepHamiltonian, lam: complex, T_trunc: float) -> WeylDiskEstim
         raise ValueError("Weyl disk requires Im lam != 0")
     phi = _propagator(H, lam, T_trunc)
     # adjugate inverse with the analytically exact unit determinant: the
-    # computed det suffers catastrophic cancellation once entries are large
-    p, q = phi[1, 1], -phi[0, 1]
-    r, s = -phi[1, 0], phi[0, 0]
+    # computed det suffers catastrophic cancellation once entries are large;
+    # normalised by 2^-k, so that the products below cannot overflow
+    p, q, r, s, k = _normalised(phi[1, 1], -phi[0, 1], -phi[1, 0], phi[0, 0])
 
     # x(0) = phi_inv @ (cos beta, sin beta): m(tau) = (r + s tau)/(p + q tau)
     # over real tau traces the Moebius image of the real projective line, a
-    # circle with closed-form center and (since ps - qr = 1) radius 1/|A|
+    # circle with closed-form center and radius |ps - qr| / |A| = 2^-2k / |A|
     A = 2.0 * (q * np.conj(p)).imag
     if A == 0.0:
         return WeylDiskEstimate(
@@ -133,7 +140,7 @@ def weyl_disk(H: StepHamiltonian, lam: complex, T_trunc: float) -> WeylDiskEstim
         )
     beta = p * np.conj(s) - np.conj(r) * q
     center = -1j * np.conj(beta) / A
-    radius = 1.0 / abs(A)
+    radius = np.ldexp(1.0 / abs(A), -2 * k)
     return WeylDiskEstimate(lam=lam, center=complex(center), radius=radius, truncation_T=T_trunc)
 
 
@@ -156,8 +163,5 @@ def m_canonical(H: StepHamiltonian, lam: complex, tol: float) -> WeylDiskEstimat
         if est.radius < tol:
             return est
         if T >= t_end - 1e-12:
-            return WeylDiskEstimate(
-                lam=est.lam, center=est.center, radius=est.radius,
-                truncation_T=est.truncation_T, converged=False,
-            )
+            return replace(est, converged=False)
         target = min(2.0 * max(T, 1.0), t_end)

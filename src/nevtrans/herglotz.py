@@ -115,17 +115,18 @@ def _matrix_from_json(rows: list) -> np.ndarray:
 class RealizedFunction:
     """A matrix-valued Nevanlinna function given by finite data.
 
-    Exactly one of the two variants is populated:
+    Exactly one of the two variants is populated, and ``variant`` and ``dim``
+    are read off the arrays:
 
     * ``measure``: value A + B*lam + sum_j W_j ((t_j-lam)^{-1} - t_j/(t_j^2+1)),
-      with t the (m,) float stack ``atom_t`` and W the (m, d, d) stack ``atom_W``
-    * ``realization``: value K* (T - lam I)^{-1} K with T = T*, ||K|| <= 1
+      with d x d A and B, t the (m,) float stack ``atom_t`` and W the
+      (m, d, d) stack ``atom_W``
+    * ``realization``: value K* (T - lam I)^{-1} K with n x n T = T*, n x d K
+      and ||K|| <= 1
 
     ``==`` is identity: a comparison of array fields has no single truth value.
     """
 
-    variant: str
-    dim: int
     A: np.ndarray | None = None
     B: np.ndarray | None = None
     atom_t: np.ndarray | None = None
@@ -135,11 +136,18 @@ class RealizedFunction:
     validate: InitVar[bool] = True
 
     def __post_init__(self, validate: bool):
+        given = [x is not None for x in (self.A, self.B, self.atom_t, self.atom_W, self.T, self.K)]
+        if given not in ([True] * 4 + [False] * 2, [False] * 4 + [True] * 2):
+            raise ValueError("populate exactly one of (A, B, atom_t, atom_W) and (T, K)")
         if self.variant == "measure":
             if not np.all(np.isfinite(self.atom_t)):
                 raise ValueError("atom positions must be finite")
-            if self.atom_W.shape != self.atom_t.shape + (self.dim, self.dim):
+            if self.A.shape != (self.dim,) * 2 or self.B.shape != self.A.shape:
+                raise ValueError("A and B must be d x d matrices of the same d")
+            if self.atom_W.shape != self.atom_t.shape + self.A.shape:
                 raise ValueError("need one d x d weight per atom position")
+        elif self.K.ndim != 2 or self.T.shape != (len(self.K),) * 2:
+            raise ValueError("T must be square with one row of K per row")
         if not validate:
             return
         if self.variant == "measure":
@@ -147,16 +155,23 @@ class RealizedFunction:
                 raise ValueError("A must be Hermitian")
             if not is_psd_gram(self.B):
                 raise ValueError("B must be PSD")
-            if len(np.unique(self.atom_t)) != len(self.atom_t):
+            # a set, not np.unique: numpy's sort code costs memory the first time it loads
+            if len(set(self.atom_t.tolist())) != len(self.atom_t):
                 raise ValueError("atom positions must be distinct")
             if not is_psd_gram(self.atom_W):
                 raise ValueError("atom weights must be PSD")
-        elif self.variant == "realization":
+        else:
             if not _hermitian(self.T):
                 raise ValueError("T must be Hermitian")
             _check_contraction(self.K, "K")
-        else:
-            raise ValueError(f"unknown variant {self.variant!r}")
+
+    @property
+    def variant(self) -> str:
+        return "measure" if self.A is not None else "realization"
+
+    @property
+    def dim(self) -> int:
+        return self.A.shape[0] if self.A is not None else self.K.shape[1]
 
     @classmethod
     def from_measure(cls, A, B, atoms, *, validate: bool = True) -> "RealizedFunction":
@@ -167,13 +182,13 @@ class RealizedFunction:
         atom_t = np.array([t for t, _ in atoms], dtype=float)
         atom_W = np.array([np.atleast_2d(W) for _, W in atoms], dtype=complex)
         atom_W = atom_W if atoms else np.zeros((0,) + A.shape, complex)
-        return cls("measure", A.shape[0], A=A, B=B, atom_t=atom_t, atom_W=atom_W, validate=validate)
+        return cls(A=A, B=B, atom_t=atom_t, atom_W=atom_W, validate=validate)
 
     @classmethod
     def from_realization(cls, T, K, *, validate: bool = True) -> "RealizedFunction":
         T = np.atleast_2d(np.asarray(T, dtype=complex))
         K = _as_columns(K)
-        return cls("realization", K.shape[1], T=T, K=K, validate=validate)
+        return cls(T=T, K=K, validate=validate)
 
     @classmethod
     def zero(cls, dim: int = 1) -> "RealizedFunction":
@@ -217,64 +232,63 @@ class RealizedFunction:
         # measure form carries the atom-shifted affine part of the standard
         # integral representation so that values agree exactly
         A = _add_in_atom_order(np.zeros((self.dim, self.dim)), W * (t / (t * t + 1.0))[:, None, None])
-        return RealizedFunction("measure", self.dim, A=A, B=np.zeros_like(A), atom_t=t, atom_W=W)
+        return RealizedFunction(A=A, B=np.zeros_like(A), atom_t=t, atom_W=W)
 
     # -- JSON ------------------------------------------------------------
 
     def to_json(self) -> str:
+        doc = {"variant": self.variant, "dim": self.dim}
         if self.variant == "measure":
-            doc = {
-                "variant": "measure",
-                "dim": self.dim,
-                "A": _matrix_to_json(self.A),
-                "B": _matrix_to_json(self.B),
-                "atoms": [{"t": t, "W": _matrix_to_json(W)} for t, W in zip(self.atom_t.tolist(), self.atom_W)],
-            }
+            doc.update(
+                A=_matrix_to_json(self.A),
+                B=_matrix_to_json(self.B),
+                atoms=[{"t": t, "W": _matrix_to_json(W)} for t, W in zip(self.atom_t.tolist(), self.atom_W)],
+            )
         else:
-            doc = {
-                "variant": "realization",
-                "dim": self.dim,
-                "T": _matrix_to_json(self.T),
-                "K": _matrix_to_json(self.K),
-            }
+            doc.update(T=_matrix_to_json(self.T), K=_matrix_to_json(self.K))
         return json.dumps(doc, indent=2)
 
     @classmethod
     def from_json(cls, text: str, *, validate: bool = True) -> "RealizedFunction":
         doc = json.loads(text)
         if doc["variant"] == "measure":
-            return cls.from_measure(
+            F = cls.from_measure(
                 _matrix_from_json(doc["A"]),
                 _matrix_from_json(doc["B"]),
                 [(a["t"], _matrix_from_json(a["W"])) for a in doc["atoms"]],
                 validate=validate,
             )
-        if doc["variant"] == "realization":
-            return cls.from_realization(
+        elif doc["variant"] == "realization":
+            F = cls.from_realization(
                 _matrix_from_json(doc["T"]), _matrix_from_json(doc["K"]), validate=validate
             )
-        raise ValueError(f"unknown variant {doc['variant']!r}")
+        else:
+            raise ValueError(f"unknown variant {doc['variant']!r}")
+        if F.dim != doc["dim"]:
+            raise ValueError("declared dim does not match the matrices")
+        return F
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleSet:
-    """Finite set of off-axis sample points with one test vector per point."""
+    """Finite set of off-axis sample points, the (n,) complex array ``points``,
+    with one test vector per point, the rows of the (n, d) complex array ``vectors``."""
 
-    points: tuple
-    vectors: tuple
+    points: np.ndarray
+    vectors: np.ndarray
 
     def __post_init__(self):
-        if not self.points:
+        if not self.points.size:
             raise ValueError("sample set must be nonempty")
-        if len(self.vectors) != len(self.points):
+        if self.points.ndim != 1 or self.vectors.ndim != 2 or len(self.vectors) != len(self.points):
             raise ValueError("one vector per sample point is required")
-        pts = np.array(self.points, dtype=complex)
-        if not (np.all(np.isfinite(pts)) and np.all(pts.imag != 0.0)):
+        if not (np.all(np.isfinite(self.points)) and np.all(self.points.imag != 0.0)):
             raise ValueError("sample points must be finite and off the real axis")
 
     @classmethod
     def of(cls, points, vectors) -> "SampleSet":
-        return cls(tuple(complex(p) for p in points), tuple(np.asarray(v, dtype=complex) for v in vectors))
+        """From sequences of points and of equal-length vectors; ragged vectors raise ValueError."""
+        return cls(np.array(points, dtype=complex), np.array(vectors, dtype=complex))
 
 
 def evaluate(F: RealizedFunction, lam) -> np.ndarray:
@@ -310,7 +324,7 @@ def nevanlinna_gram(F: RealizedFunction, S: SampleSet) -> np.ndarray:
     PSD (up to tolerance) for every genuine Nevanlinna function.  Coincident
     points lam = conj(mu) fall back to the derivative limit M'(lam).
     """
-    pts, vecs = S.points, S.vectors
+    pts, vecs = S.points.tolist(), S.vectors
     n = len(pts)
     G = np.empty((n, n), dtype=complex)
     for k in range(n):
@@ -326,9 +340,8 @@ def class_n0_interval_gram(F: RealizedFunction, S: SampleSet) -> np.ndarray:
     L(lam, xi) = [(1-lam^2) M(lam) - (1-conj(xi)^2) M(xi)* - (lam-conj(xi)) I]
                  / (lam - conj(xi)).
     """
-    lam = np.array(S.points)
+    lam, V = S.points, S.vectors
     xb = lam.conj()
-    V = np.array(S.vectors)
     denom = lam[:, None] - xb  # [k, l]: lam_k - conj(xi_l), both running over the points
     if np.any(np.abs(denom) < 1e-12):
         raise ValueError("lam = conj(xi) collision: kernel has no defined diagonal limit")
@@ -338,29 +351,22 @@ def class_n0_interval_gram(F: RealizedFunction, S: SampleSet) -> np.ndarray:
     return (G + G.conj().T) / 2.0
 
 
-def min_eig(G: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(G).min())
-
-
-def is_psd_gram(G: np.ndarray, tol: float = PSD_TOL) -> bool:
+def is_psd_gram(G: np.ndarray) -> bool:
     """Scale-relative PSD check of the Hermitian part of each matrix of the stack
-    G (..., n, n), which may be empty: its eigenvalues w satisfy min w >= -tol * (1 + max |w|)."""
+    G (..., n, n), which may be empty: its eigenvalues w satisfy min w >= -PSD_TOL * (1 + max |w|)."""
     w = np.linalg.eigvalsh((G + np.swapaxes(G.conj(), -1, -2)) / 2.0)
-    return bool(np.all(w.min(axis=-1) >= -tol * (1.0 + np.abs(w).max(axis=-1))))
+    return bool(np.all(w.min(axis=-1) >= -PSD_TOL * (1.0 + np.abs(w).max(axis=-1))))
 
 
-def random_nevanlinna(seed: int, d: int, n: int, *, contraction: bool = True) -> RealizedFunction:
-    """Deterministic random realization variant with ||K|| <= 1.
-
-    With ``contraction=True`` the operator T is scaled to spectrum in [-1,1].
-    """
+def random_nevanlinna(seed: int, d: int, n: int) -> RealizedFunction:
+    """Deterministic random realization variant with ||K|| <= 1 and T scaled
+    to spectrum in [-1,1]."""
     if d < 1 or n < d:
         raise ValueError("need d >= 1 and n >= d")
     rng = np.random.default_rng(seed)
     G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     T = (G + G.conj().T) / 2.0
-    if contraction:
-        T = T / np.linalg.norm(T, 2)
+    T = T / np.linalg.norm(T, 2)
     K = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
     K = K / max(1.0, np.linalg.norm(K, 2))
     return RealizedFunction.from_realization(T, K)

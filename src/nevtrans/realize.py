@@ -23,7 +23,7 @@ RANK_TOL = 1e-10
 CHAIN_DIM_CAP = 2000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubspaceRealization:
     """Hermitian operator T on an n-dim space with a distinguished d-dim subspace."""
 
@@ -50,7 +50,7 @@ class SubspaceRealization:
         return compressed_resolvent(self.T, self.M_basis, lam)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChainOperator:
     """Realization of the (n+1)-th gamma_hat iterate: n copies of the corner
     subspace chained onto the seed realization (K, That)."""
@@ -65,15 +65,11 @@ class ChainOperator:
         return self.K.shape[1]
 
     def m_basis(self) -> np.ndarray:
-        return _leading_basis(self.assembled.shape[0], self.d)
+        """Orthonormal basis of the distinguished subspace: the leading d coordinates."""
+        return np.eye(self.assembled.shape[0], self.d, dtype=complex)
 
 
-def _leading_basis(n: int, d: int) -> np.ndarray:
-    """n x d orthonormal basis of the distinguished subspace: the leading d coordinates."""
-    return np.eye(n, d, dtype=complex)
-
-
-def defect_operator(T: np.ndarray, rank_tol: float = RANK_TOL):
+def defect_operator(T: np.ndarray):
     """(I - T^2)^{1/2} of a Hermitian contraction and a basis of its range.
 
     Eigenvalues of 1 - t^2 are clamped at zero; range vectors are eigenvectors
@@ -86,7 +82,7 @@ def defect_operator(T: np.ndarray, rank_tol: float = RANK_TOL):
     s = np.sqrt(defect)
     D = (V * s) @ V.conj().T
     smax = s.max() if len(s) else 0.0
-    keep = s > rank_tol * max(smax, 1.0)
+    keep = s > RANK_TOL * max(smax, 1.0)
     return D, V[:, keep]
 
 
@@ -103,7 +99,7 @@ def bold_T(R: SubspaceRealization) -> SubspaceRealization:
     bottom_right = Q.conj().T @ T @ Q
     big = np.block([[top_left, top_right], [top_right.conj().T, bottom_right]])
     big = (big + big.conj().T) / 2.0
-    return SubspaceRealization(T=big, M_basis=_leading_basis(big.shape[0], R.d))
+    return SubspaceRealization(T=big, M_basis=np.eye(big.shape[0], R.d, dtype=complex))
 
 
 def compressed_resolvent(A: np.ndarray, M_basis: np.ndarray, lam) -> np.ndarray:
@@ -156,7 +152,7 @@ def chain_A(K: np.ndarray, That: np.ndarray, n: int) -> ChainOperator:
     return ChainOperator(n=n, K=K, That=That, assembled=A)
 
 
-def simplicity_check(R: SubspaceRealization, rank_tol: float = RANK_TOL):
+def simplicity_check(R: SubspaceRealization):
     """Krylov test: is span{T^k M, k >= 0} the whole space?
 
     Returns (is_simple, krylov_rank) with rank computed from singular values
@@ -169,5 +165,5 @@ def simplicity_check(R: SubspaceRealization, rank_tol: float = RANK_TOL):
         blocks.append(T @ blocks[-1])
     krylov = np.hstack(blocks)
     s = np.linalg.svd(krylov, compute_uv=False)
-    rank = int(np.sum(s > rank_tol * s.max()))
+    rank = int(np.sum(s > RANK_TOL * s.max()))
     return rank == n, rank

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from nevtrans.acceptance import SUITES, run_suite
+from nevtrans.acceptance import SUITES
 
 #: wall-clock budgets (seconds), generous multiples of the intended budgets
 TIME_BUDGETS = {
@@ -24,7 +24,7 @@ TIME_BUDGETS = {
 @pytest.mark.parametrize("name", list(SUITES))
 def test_acceptance(name):
     t0 = time.time()
-    ok, detail = run_suite(name)
+    ok, detail = SUITES[name]()
     elapsed = time.time() - t0
     print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     assert ok, f"{name}: {detail}"

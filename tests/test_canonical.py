@@ -79,6 +79,21 @@ class TestWeylDisk:
                 assert abs(est.center - prev.center) <= prev.radius - est.radius + 1e-10
             prev = est
 
+    def test_line_case_at_T0(self):
+        # nothing propagated: the boundary slopes map onto a line, not a circle
+        est = weyl_disk(hamiltonian_H0(3), 2j, 0.0)
+        assert est.radius == canonical.RADIUS_LINE and not est.converged
+        assert est.center == 0
+
+    def test_entries_beyond_the_square_root_of_the_float_range(self):
+        # the entries stay finite while their products overflow
+        est = weyl_disk(hamiltonian_H0(600), 2j, 450.0)
+        assert abs(est.center - m0_gammahat(2j)) < 1e-12
+        assert est.radius == 0.0 and est.converged
+        # entries that overflow themselves are rejected, not read out
+        with pytest.raises(ArithmeticError, match="not finite"):
+            _propagator(hamiltonian_H0(3000), 0.1 + 5j, 3000.0)
+
     def test_requires_breakpoint(self):
         with pytest.raises(OutOfRangeError):
             weyl_disk(hamiltonian_H0(10), 2j, 2.5)
@@ -134,14 +149,14 @@ class TestMCanonical:
         est = m_canonical(hamiltonian_H0(70), 2j, 1e-6)
         assert est.converged
         assert est.truncation_T <= 60.0
-        assert abs(est.m_value - m0_gammahat(2j)) < 1e-6
-        assert est.error_bound < 1e-6
-        assert est.m_value.imag > 0  # orientation anchor
+        assert abs(est.center - m0_gammahat(2j)) < 1e-6
+        assert est.radius < 1e-6
+        assert est.center.imag > 0  # orientation anchor
 
     def test_alternating_hamiltonian_1_plus_i(self):
         est = m_canonical(hamiltonian_H0(120), 1 + 1j, 1e-5)
         assert est.converged
-        assert abs(est.m_value - m0_gammahat(1 + 1j)) < 1e-5
+        assert abs(est.center - m0_gammahat(1 + 1j)) < 1e-5
 
     def test_a0_one_schur_oracle(self):
         H = kac_algorithm(*A0_ONE, 40)
@@ -149,7 +164,7 @@ class TestMCanonical:
         oracle = -1.0 / (lam - 1.0 + m0_gammahat(lam))
         est = m_canonical(H, lam, 1e-6)
         assert est.converged
-        assert abs(est.m_value - oracle) < 1e-6
+        assert abs(est.center - oracle) < 1e-6
 
     def test_consistency_with_jacobi_corpus(self):
         lam = 2j
@@ -159,14 +174,19 @@ class TestMCanonical:
             assert est.converged
             J = BlockJacobi.of([[[x]] for x in a[:50]], [[[x]] for x in b[:49]])
             m_jac = m_resolvent(J, lam)[0, 0]
-            assert abs(est.m_value - m_jac) < 2e-6
+            assert abs(est.center - m_jac) < 2e-6
 
     def test_hamiltonian_sequence_converges_to_fixed_point(self):
         H = kac_algorithm(*MIXED, 30)
         lam = 2j
         m0 = m0_gammahat(lam)
         est = m_canonical(hamiltonian_Hn(H, 12), lam, 1e-7)
-        assert abs(est.m_value - m0) < 1e-4
+        assert abs(est.center - m0) < 1e-4
+
+    def test_radius_below_the_smallest_double(self):
+        est = m_canonical(hamiltonian_H0(3000), 0.1 + 5j, 1e-300)
+        assert abs(est.center - m0_gammahat(0.1 + 5j)) < 1e-12
+        assert est.radius == 0.0 and est.converged
 
     def test_not_converged_flag(self):
         est = m_canonical(hamiltonian_H0(3), 2j, 1e-12)
@@ -189,7 +209,5 @@ class TestEstimate:
 
     def test_aliases(self):
         est = WeylDiskEstimate(lam=2j, center=0.4j, radius=1e-8, truncation_T=16.0)
-        assert est.m_value == est.center
-        assert est.error_bound == est.radius
         assert est.contains(0.4j + 5e-9)
         assert not est.contains(0.4j + 1e-3)

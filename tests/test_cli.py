@@ -182,6 +182,15 @@ class TestIterate:
         with pytest.raises(TypeError):
             cli._nevanlinna_warning_check(random_nevanlinna(1, 1, 3), 2j)
 
+    def test_declared_dim_mismatch_is_a_parse_error(self, tmp_path):
+        doc = json.loads(random_nevanlinna(1, 1, 3).to_json())
+        doc["dim"] = 5
+        p = tmp_path / "dim_start.json"
+        p.write_text(json.dumps(doc))
+        r = run_cli("iterate", str(p), "--lambda", "0,2", "--n", "3")
+        assert r.returncode == 2
+        assert "dim" in r.stderr
+
 
 class TestKac:
     def test_free_schroedinger_lengths(self, jhat20, tmp_path):

@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -12,11 +13,11 @@ from nevtrans.herglotz import (
     class_n0_interval_gram,
     evaluate,
     is_psd_gram,
-    min_eig,
     nevanlinna_gram,
     random_contraction_resolvent,
     random_nevanlinna,
 )
+from nevtrans.realize import SubspaceRealization, chain_A
 
 
 def sample_points(seed, count, d, lo=0.3, hi=3.0):
@@ -143,7 +144,13 @@ class TestEvaluate:
 class TestStorage:
     @pytest.mark.parametrize("d", [1, 2])
     def test_equality_is_identity(self, d):
-        for make in (lambda: RealizedFunction.zero(d), lambda: random_nevanlinna(1, d, 4)):
+        for make in (
+            lambda: RealizedFunction.zero(d),
+            lambda: random_nevanlinna(1, d, 4),
+            lambda: SampleSet.of([1j, 2j], np.ones((2, d))),
+            lambda: SubspaceRealization.of(np.zeros((3, 3)), np.eye(3, d)),
+            lambda: chain_A(np.eye(3, d), np.zeros((3, 3)), 2),
+        ):
             F = make()
             assert (F == F) is True
             assert (F == make()) is False
@@ -189,6 +196,11 @@ class TestMeasureRealizationEquivalence:
             G = F.measure_form()
             for lam in (1j, 2j, -0.5 - 1.5j, 3 + 0.7j):
                 assert np.max(np.abs(evaluate(F, lam) - evaluate(G, lam))) < 1e-12
+
+    def test_repeated_eigenvalue_is_one_atom(self):
+        G = RealizedFunction.from_realization(np.diag([1.0, 1.0, 2.0]), [[0.6], [0.0], [0.8]]).measure_form()
+        assert list(G.atom_t) == [1.0, 2.0]
+        assert np.allclose(G.atom_W[:, 0, 0], [0.36, 0.64], rtol=0, atol=1e-15)
 
     def test_derivative_agrees(self):
         F = random_nevanlinna(11, 2, 5)
@@ -259,7 +271,7 @@ class TestNevanlinnaGram:
             [[0.0]], [[0.0]], [(0.0, [[1.0]]), (0.7, [[-2.0]])], validate=False
         )
         S = sample_points(5, 6, 1)
-        assert min_eig(nevanlinna_gram(F, S)) < 0
+        assert np.linalg.eigvalsh(nevanlinna_gram(F, S)).min() < 0
 
     def test_coincident_conjugate_points_use_derivative(self):
         F = random_nevanlinna(8, 1, 4)
@@ -333,7 +345,7 @@ class TestIntervalGram:
                     - (lam - xb)
                 ) / (lam - xb)
         G = (G + G.conj().T) / 2
-        assert min_eig(G) >= -1e-10 * (1 + np.linalg.norm(G, 2))
+        assert np.linalg.eigvalsh(G).min() >= -1e-10 * (1 + np.linalg.norm(G, 2))
 
     def test_non_contraction_fails_class_test(self):
         T = 1.5 * np.diag([1.0, -1.0, 0.4])
@@ -343,7 +355,7 @@ class TestIntervalGram:
         worst = 0.0
         for seed in range(30):
             S = sample_points(300 + seed, 6, 1, lo=0.1, hi=1.5)
-            worst = min(worst, min_eig(class_n0_interval_gram(F, S)))
+            worst = min(worst, np.linalg.eigvalsh(class_n0_interval_gram(F, S)).min())
         assert worst < -0.01
 
     def test_matches_double_loop_reference(self):
@@ -411,6 +423,29 @@ class TestValidation:
         with pytest.raises(NotContractionError):
             RealizedFunction.from_realization([[0.0]], [[2.0]])
 
+    def test_mismatched_shapes_rejected(self):
+        # checked with or without validate, like finiteness: a 1 x 1 B would
+        # otherwise broadcast into an all-ones matrix
+        for make in (
+            lambda v: RealizedFunction.from_measure(np.zeros((2, 2)), [[1.0]], (), validate=v),
+            lambda v: RealizedFunction.from_measure(np.zeros((2, 3)), np.zeros((2, 3)), (), validate=v),
+            lambda v: RealizedFunction.from_realization(np.zeros((3, 2)), np.zeros((3, 1)), validate=v),
+            lambda v: RealizedFunction.from_realization(np.zeros((3, 3)), np.zeros((2, 1)), validate=v),
+        ):
+            for validate in (True, False):
+                with pytest.raises(ValueError, match="d x d|square"):
+                    make(validate)
+
+    def test_exactly_one_variant(self):
+        z = np.zeros((1, 1), dtype=complex)
+        measure = dict(A=z, B=z, atom_t=np.zeros(0), atom_W=np.zeros((0, 1, 1), complex))
+        for fields in ({}, dict(measure, T=z, K=z), dict(A=z, B=z), dict(T=z)):
+            with pytest.raises(ValueError, match="exactly one"):
+                RealizedFunction(**fields)
+        assert RealizedFunction(**measure).variant == "measure"
+        F = RealizedFunction(T=np.zeros((3, 3), complex), K=np.eye(3, 2, dtype=complex))
+        assert (F.variant, F.dim) == ("realization", 2)
+
 
 class TestJson:
     def test_measure_round_trip(self):
@@ -430,6 +465,14 @@ class TestJson:
         with pytest.raises(ValueError):
             RealizedFunction.from_json('{"variant": "mystery", "dim": 1}')
 
+    def test_declared_dim_must_match(self):
+        for F in (RealizedFunction.zero(2), random_nevanlinna(5, 2, 5)):
+            doc = json.loads(F.to_json())
+            assert doc["dim"] == 2
+            doc["dim"] = 5
+            with pytest.raises(ValueError, match="dim"):
+                RealizedFunction.from_json(json.dumps(doc), validate=False)
+
 
 class TestSampleSet:
     def test_rejects_real_points(self):
@@ -444,8 +487,14 @@ class TestSampleSet:
             SampleSet.of([], [])
 
     def test_rejects_missing_vectors(self):
-        with pytest.raises(ValueError):
-            SampleSet.of([1j, 2j], [np.array([1.0])])
+        for vectors in ([np.array([1.0])], [np.ones(2), np.ones(3)], [1.0, 2.0]):
+            with pytest.raises(ValueError):
+                SampleSet.of([1j, 2j], vectors)
+
+    def test_holds_arrays(self):
+        S = SampleSet.of([1j, 2 - 1j], [[1.0], [2.0]])
+        assert S.points.dtype == complex and S.points.shape == (2,)
+        assert S.vectors.dtype == complex and S.vectors.shape == (2, 1)
 
 
 def _non_finite_calls():

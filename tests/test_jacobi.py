@@ -101,6 +101,9 @@ class TestMResolvent:
         for lam in (1.0 + 0j, np.array([[2j, 1.0], [0.5j, -3j]])):  # one pole fails the whole array
             with pytest.raises(PoleError):
                 m_resolvent(J, lam)
+        # an eigenvalue the solve does not see as singular: the residual shows it
+        with pytest.raises(PoleError, match="residual"):
+            m_resolvent(build_Jhat0(1, 3), math.sqrt(2))
 
 
 class TestMCf:
@@ -141,6 +144,8 @@ class TestMCf:
         for lam in (1.0 + 0j, np.array([[2j, 1.0], [0.5j, -3j]])):
             with pytest.raises(PoleError):
                 m_cf(build_Jhat0(1, 2), lam)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(PoleError, match="not finite"):
+            m_cf(BlockJacobi.of([0.0, 0.0], [1e200]), 1e-300j)
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_lambda_array_equals_stacked_calls(self, d, lam_grid, stacked):

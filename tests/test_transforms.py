@@ -91,6 +91,8 @@ class TestGammaHat:
             gamma_hat(np.array([[-lam]]), lam)
         with pytest.raises(np.linalg.LinAlgError):  # one singular shift fails the whole array
             gamma_hat(np.array([[[0.0]], [[-lam]]]), np.array([1j, lam]))
+        with pytest.raises(np.linalg.LinAlgError, match="not finite"):  # invertible, but the inverse overflows
+            gamma_hat(np.array([[-lam + 1e-310]]), lam)
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_lambda_array_matches_stacked_calls(self, d, lam_grid, stacked):
