@@ -4,7 +4,9 @@ The m-function is the top-left d x d block of (J - lam I)^{-1}, computed two
 independent ways, each in ceil(log2 N) batched levels: block cyclic reduction
 of the block-tridiagonal system, and a pairwise composition of the
 continued-fraction (J-fraction) maps.  The two must agree; tests exploit this
-as a dual-route check.
+as a dual-route check.  Both solve their stacks of blocks through ``_solve``,
+which divides when the blocks are 1 x 1 (d = 1) instead of calling LAPACK
+once per block.
 """
 
 from __future__ import annotations
@@ -45,7 +47,13 @@ class BlockJacobi:
             raise ValueError("blocks must be finite")
         if not _hermitian(a, 1e-12):
             raise ValueError("diagonal blocks must be Hermitian")
-        if np.any(np.linalg.cond(b, 1) > OFFDIAG_COND_MAX):
+        if d == 1:
+            # ||b||_1 ||b^{-1}||_1 of a 1 x 1 block; a zero block (0 * inf) counts as infinite
+            with np.errstate(all="ignore"):
+                cond = np.where(b != 0, np.abs(b) * np.abs(1 / b), np.inf)
+        else:
+            cond = np.linalg.cond(b, 1)
+        if np.any(cond > OFFDIAG_COND_MAX):
             raise ValueError(f"off-diagonal blocks must be invertible, with condition number <= {OFFDIAG_COND_MAX:g}")
 
     @classmethod
@@ -115,6 +123,20 @@ def _free_jacobi(d: int, N: int, b_divisors: list) -> BlockJacobi:
     return BlockJacobi.of(np.zeros((N, d, d), dtype=complex), eye / np.reshape(b_divisors, (-1, 1, 1)))
 
 
+def _solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """np.linalg.solve(A, B) on stacks of d x d blocks, 1 x 1 blocks by one division.
+
+    The division is as silent as LAPACK about overflow, and an exactly zero
+    pivot raises LinAlgError as LAPACK does; d > 1 calls np.linalg.solve.
+    """
+    if A.shape[-1] > 1:
+        return np.linalg.solve(A, B)
+    if not np.all(A):
+        raise np.linalg.LinAlgError("Singular matrix")
+    with np.errstate(all="ignore"):
+        return B / A
+
+
 def m_resolvent(J: BlockJacobi, lam) -> np.ndarray:
     """Top-left block of (J - lam I)^{-1} by block cyclic reduction, ceil(log2 N) levels.
 
@@ -125,12 +147,14 @@ def m_resolvent(J: BlockJacobi, lam) -> np.ndarray:
     each D_o is a diagonal block of a Schur complement of J - lam, hence a
     Schur complement of J - lam itself.  Its imaginary part (D - D^*)/2i is
     -Im lam I minus a positive semidefinite term for Im lam > 0 (plus one for
-    Im lam < 0), so ||D_o^{-1}|| <= 1/|Im lam|.
+    Im lam < 0), so ||D_o^{-1}|| <= 1/|Im lam|.  For d = 1 the pivots are
+    divided out, one elementwise division per level.
 
     lam may have any shape; the result has shape lam.shape + (d, d).  The
     levels hold O(points * N * d^2) numbers.  A real lam at which a pivot is
     singular (a_k - lam for an odd k, on the first level) raises PoleError
-    even off the spectrum.
+    even off the spectrum.  The residual guard is what certifies the value:
+    it also raises at a pole that no pivot shows as singular.
     """
     lam = _as_complex(lam)
     d, N = J.d, J.N
@@ -151,7 +175,7 @@ def m_resolvent(J: BlockJacobi, lam) -> np.ndarray:
     try:
         while D.shape[-3] > 1:
             # odd rows: X_o = rho_o - alpha_o X_{o-1} - beta_o X_{o+1}, [alpha | beta | rho] = D_o^{-1} C_o
-            abr = np.linalg.solve(D[..., 1::2, :, :], C[..., 1::2, :, :])
+            abr = _solve(D[..., 1::2, :, :], C[..., 1::2, :, :])
             levels.append(abr)
             # substitute them into the even rows; the odd row before row 0, and
             # after a last even row, is zero (L_0 = 0 and U_{n-1} = 0 anyway)
@@ -162,7 +186,7 @@ def m_resolvent(J: BlockJacobi, lam) -> np.ndarray:
             D = D[..., ::2, :, :] - left[..., d:2 * d] - right[..., :d]
             R = C[..., 2 * d:] - left[..., 2 * d:] - right[..., 2 * d:]
             C = np.concatenate([-left[..., :d], -right[..., d:2 * d], R], axis=-1)
-        X = np.linalg.solve(D, C[..., 2 * d:])
+        X = _solve(D, C[..., 2 * d:])
     except np.linalg.LinAlgError as exc:
         raise PoleError(f"singular shift at lambda={lam}") from exc
     for abr in reversed(levels):
@@ -194,12 +218,15 @@ def m_cf(J: BlockJacobi, lam) -> np.ndarray:
     so m is S11 of the whole composition.  The blocks of a composition are
     corner blocks of the resolvent of its stretch of the chain (times b), so
     they stay bounded, where a product of 2d x 2d transfer matrices loses
-    rank for d > 1.  Equals m_resolvent exactly in exact arithmetic.
+    rank for d > 1.  Equals m_resolvent exactly in exact arithmetic.  For
+    d = 1 the leaves and merges divide instead of calling LAPACK.
 
     lam may have any shape; the result has shape lam.shape + (d, d).  The
     tree holds O(points * N * d^2) numbers, a stack of N (2d, 2d) blocks per
     point and its temporaries.  A real lam at which some a_k - lam is
     singular raises PoleError even where the fraction itself is finite.
+    There is no residual guard: at a pole that rounding leaves merely
+    near-singular it returns a huge finite value where m_resolvent raises.
     """
     lam = _as_complex(lam)
     d, lead = J.d, np.shape(lam)
@@ -209,7 +236,7 @@ def m_cf(J: BlockJacobi, lam) -> np.ndarray:
     # right-hand side carries lam's axes as ones, as in m_resolvent
     eye_b = np.concatenate([np.broadcast_to(eye, b.shape), b], axis=-1).reshape((1,) * len(lead) + (J.N, d, 2 * d))
     try:
-        S = np.linalg.solve(J.a - np.multiply.outer(lam, eye)[..., None, :, :], eye_b)
+        S = _solve(J.a - np.multiply.outer(lam, eye)[..., None, :, :], eye_b)
         S = np.concatenate([S, np.swapaxes(b.conj(), -1, -2) @ S], axis=-2)
         while S.shape[-3] > 1:
             n_pairs = S.shape[-3] // 2
@@ -220,7 +247,7 @@ def m_cf(J: BlockJacobi, lam) -> np.ndarray:
             # the real axis the inverse lost up to 400 times more accuracy.
             s22_t = outer[..., d:, d:] @ inner[..., :d, :]  # [S22 T11 | S22 T12]
             s12_t = outer[..., :d, d:] @ inner[..., :d, :]  # [S12 T11 | S12 T12]
-            V = np.linalg.solve(eye - s22_t[..., :d], np.concatenate([outer[..., d:, :d], s22_t[..., d:]], axis=-1))
+            V = _solve(eye - s22_t[..., :d], np.concatenate([outer[..., d:, :d], s22_t[..., d:]], axis=-1))
             top = np.concatenate([outer[..., :d, :d], s12_t[..., d:]], axis=-1) + s12_t[..., :d] @ V
             bottom = inner[..., d:, :d] @ V
             bottom[..., d:] += inner[..., d:, d:]

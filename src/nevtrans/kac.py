@@ -101,31 +101,29 @@ def kac_algorithm(a, b, m: int) -> StepHamiltonian:
     b = [float(x) for x in b]
     if not all(map(math.isfinite, a + b)):
         raise ValueError("coefficients must be finite")
-    if any(x <= 0 for x in b):
+    if b and min(b) <= 0:
         raise ValueError("off-diagonal coefficients must be positive")
     if m > 1 and (len(a) < m - 1 or len(b) < m - 1):
         raise ValueError("not enough coefficients for the requested interval count")
 
-    thetas = [math.pi / 2.0]
-    lengths = [1.0]
-    theta_prev = 0.0  # theta_{-1}
+    # theta_j, l_j, the gap theta_j - theta_{j-1} and its sine, carried from step to step
+    theta, length = math.pi / 2.0, 1.0
+    thetas, lengths = [theta], [length]
     for j in range(1, m):
         if j == 1:
             theta_next = math.atan(a[0]) + math.pi
         else:
-            gap = thetas[-1] - theta_prev
-            s = math.sin(gap)  # the previous step's s_new, already checked
-            c = -a[j - 1] * lengths[-1] - math.cos(gap) / s
+            c = -a[j - 1] * length - math.cos(gap) / s  # s is the previous step's sine, already checked
             # acot branch mapping R onto (0, pi)
-            theta_next = thetas[-1] + (math.pi / 2.0 - math.atan(c))
-        gap_new = theta_next - thetas[-1]
-        s_new = math.sin(gap_new)
-        if abs(s_new) < _SIN_TOL:
+            theta_next = theta + (math.pi / 2.0 - math.atan(c))
+        gap = theta_next - theta
+        s = math.sin(gap)
+        if abs(s) < _SIN_TOL:
             raise DegenerateStepError(f"degenerate angle step at j={j}")
-        l_next = 1.0 / (lengths[-1] * b[j - 1] ** 2 * s_new * s_new)
-        theta_prev = thetas[-1]
-        thetas.append(theta_next)
-        lengths.append(l_next)
+        length = 1.0 / (length * b[j - 1] ** 2 * s * s)
+        theta = theta_next
+        thetas.append(theta)
+        lengths.append(length)
     # cumsum adds in sequence, as a running sum would
     return StepHamiltonian(np.concatenate([[0.0], np.cumsum(lengths)]), np.array(thetas))
 

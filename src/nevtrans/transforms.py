@@ -11,6 +11,7 @@ the iterates as operators live in :mod:`nevtrans.realize`.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -21,6 +22,13 @@ from .specialfn import CUT_TOL, m0_gammahat
 
 #: condition number above which gamma emits an ill-conditioning warning
 COND_WARN = 1e12
+
+
+@functools.lru_cache(maxsize=None)
+def _eye(d: int) -> np.ndarray:
+    eye = np.eye(d)
+    eye.flags.writeable = False  # shared by every call
+    return eye
 
 
 def _opnorm(M: np.ndarray):
@@ -44,7 +52,7 @@ def gamma(Mval: np.ndarray, lam) -> np.ndarray:
 def gamma_hat(Mval: np.ndarray, lam) -> np.ndarray:
     """Value of -(M + lam I)^{-1}; LinAlgError at a singular shift signals a non-Nevanlinna input."""
     Mval = np.atleast_2d(np.asarray(Mval, dtype=complex))
-    return -_finite_inv(Mval + np.multiply.outer(_as_complex(lam), np.eye(Mval.shape[-1])))
+    return -_finite_inv(Mval + np.multiply.outer(_as_complex(lam), _eye(Mval.shape[-1])))
 
 
 @dataclass
@@ -88,8 +96,9 @@ def iterate_gamma_hat(F: RealizedFunction, lam, n: int) -> IterationTrace:
     for _ in range(n):
         val = gamma_hat(val, lam)
         trace.values.append(val)
-        trace.residuals.append(_opnorm(val - target))
-    res = np.array(trace.residuals)
+    # one batched SVD over the stacked iterates; each matrix gets the singular values of its own call
+    res = _opnorm(np.array(trace.values) - target)
+    trace.residuals = list(res)
     trace.ratios = list(np.divide(res[1:], res[:-1], out=np.zeros_like(res[1:]), where=res[:-1] > 0.0))
     return trace
 

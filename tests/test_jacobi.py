@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from nevtrans.errors import CutError, PoleError
 from nevtrans.herglotz import RealizedFunction
 from nevtrans.jacobi import (
     BlockJacobi,
+    _solve,
     build_J0,
     build_Jhat0,
     m_cf,
@@ -179,6 +181,35 @@ class TestReductions:
                 with pytest.raises(PoleError):
                     route(J, lam)
 
+    def test_exactly_singular_pivot_raises_without_a_warning(self):
+        # a_1 - lam = 0 is a first-level pivot of the cyclic reduction and a leaf of the star tree
+        J = BlockJacobi.of([0.0, 1.0, 0.0], [1.0, 1.0])  # eigenvalues -1, 0, 2
+        for route in (m_resolvent, m_cf):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(PoleError, match="singular shift"):
+                    route(J, 1.0)
+
+    def test_scalar_solve_matches_lapack(self):
+        # 1 x 1 blocks are divided, not passed to LAPACK: the same x to a few ulps of |x|
+        rng = np.random.default_rng(11)
+        scale = 10.0 ** rng.uniform(-300, 300, (4, 500, 1, 1))  # tiny and huge pivots
+        A = scale * (rng.standard_normal((4, 500, 1, 1)) + 1j * rng.standard_normal((4, 500, 1, 1)))
+        B = rng.standard_normal((1, 500, 1, 3)) + 1j * rng.standard_normal((1, 500, 1, 3))
+        got, want = _solve(A, B), np.linalg.solve(A, B)
+        assert got.shape == want.shape == (4, 500, 1, 3)
+        assert np.all(np.abs(got - want) <= 8 * np.spacing(np.abs(want)))
+        A3 = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+        B3 = rng.standard_normal((5, 3, 2)) + 0j
+        assert np.array_equal(_solve(A3, B3), np.linalg.solve(A3, B3))  # d > 1 is LAPACK's own call
+        A[2, 7] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            _solve(A, B)
+        with warnings.catch_warnings():  # an overflowing quotient is as silent as in LAPACK
+            warnings.simplefilter("error", RuntimeWarning)
+            x = _solve(np.full((1, 1, 1), 1e-300 + 0j), np.full((1, 1, 1), 1e300 + 0j))
+        assert np.isinf(x.real).all()
+
     def test_results_do_not_keep_the_reduction_alive(self):
         # a view into the levels would hold O(N d^2) numbers per returned d x d block
         J = random_jacobi(3, 2, 64)
@@ -330,6 +361,12 @@ class TestStructure:
             BlockJacobi.of([[[1j]]], [])  # non-Hermitian diagonal
         with pytest.raises(ValueError):
             BlockJacobi.of([[[0.0]], [[0.0]]], [[[0.0]]])  # singular off-diagonal
+        with warnings.catch_warnings():  # |b| |1/b| of a zero block is inf, not 0 * inf = nan
+            warnings.simplefilter("error", RuntimeWarning)
+            for a, b in (([0.0, 0.0], [0.0]), ([[0.0]] * 2, [[0.0]]), ([0.0, 0.0], [1e-310]), ([0.0, 0.0], [-1e-320j])):
+                with pytest.raises(ValueError):
+                    BlockJacobi.of(a, b)
+            assert BlockJacobi.of([0.0, 0.0], [1e-300 + 1e-300j]).N == 2  # small, but its inverse is finite
         with pytest.raises(ValueError):  # determinant 1e-15, condition number above 1e15
             BlockJacobi.of(np.zeros((2, 2, 2)), [[[1.0, 1.0], [1.0, 1.0 + 1e-15]]])
         # determinant 1e-340 underflows to 0, but the block is a multiple of I

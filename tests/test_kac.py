@@ -36,7 +36,58 @@ def hamiltonian_Hn_per_angle(H, n):
     return breakpoints, thetas
 
 
+def kac_algorithm_reference(a, b, m):
+    """The Kac loop as it read before it carried the last gap and its sine:
+    each step recomputes sin(theta_j - theta_{j-1}) from the stored angles.
+    kac_algorithm must give the same breakpoints and angles bit for bit."""
+    a, b = [float(x) for x in a], [float(x) for x in b]
+    thetas, lengths = [math.pi / 2.0], [1.0]
+    theta_prev = 0.0
+    for j in range(1, m):
+        if j == 1:
+            theta_next = math.atan(a[0]) + math.pi
+        else:
+            gap = thetas[-1] - theta_prev
+            s = math.sin(gap)
+            c = -a[j - 1] * lengths[-1] - math.cos(gap) / s
+            theta_next = thetas[-1] + (math.pi / 2.0 - math.atan(c))
+        gap_new = theta_next - thetas[-1]
+        s_new = math.sin(gap_new)
+        if abs(s_new) < 1e-14:
+            raise DegenerateStepError(f"degenerate angle step at j={j}")
+        l_next = 1.0 / (lengths[-1] * b[j - 1] ** 2 * s_new * s_new)
+        theta_prev = thetas[-1]
+        thetas.append(theta_next)
+        lengths.append(l_next)
+    return np.concatenate([[0.0], np.cumsum(lengths)]), np.array(thetas)
+
+
+def anderson_coefficients():
+    """The README's Anderson-type example: a ~ U(-1, 1), b ~ U(0.5, 1.5), length 200."""
+    rng = np.random.default_rng(1)
+    a, b = rng.uniform(-1, 1, 200), rng.uniform(0.5, 1.5, 200)
+    return a, b[:199]
+
+
 class TestKacAlgorithm:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_bit_identical_to_reference_loop(self, seed, decaying_coefficients):
+        a, b = decaying_coefficients(2000, seed)
+        cases = [(a, b, 2000)] + [(a, b, m) for a, b in COEFF_SETS for m in (1, 2, 3, 15, 22)]
+        for a, b, m in cases:
+            H = kac_algorithm(a, b, m)
+            breakpoints, thetas = kac_algorithm_reference(a, b, m)
+            assert H.breakpoints.tobytes() == breakpoints.tobytes()
+            assert H.thetas.tobytes() == thetas.tobytes()
+
+    def test_anderson_coefficients_degenerate_at_129(self):
+        a, b = anderson_coefficients()
+        for kac in (kac_algorithm, kac_algorithm_reference):
+            with pytest.raises(DegenerateStepError, match="at j=129$"):
+                kac(a, b, 200)
+        H = kac_algorithm(a, b, 129)  # the intervals before the degenerate step
+        assert H.thetas.tobytes() == kac_algorithm_reference(a, b, 129)[1].tobytes()
+
     def test_free_schroedinger_coefficients(self):
         m = 52
         H = kac_algorithm([0.0] * m, [1.0] * m, m)
@@ -78,6 +129,10 @@ class TestKacAlgorithm:
             kac_algorithm([0.0], [1.0], 0)
         with pytest.raises(ValueError):
             kac_algorithm([0.0], [-1.0], 2)
+        for bad in (0.0, -0.0):  # zero is not positive, whichever its sign
+            with pytest.raises(ValueError):
+                kac_algorithm([0.0, 0.0], [1.0, bad], 3)
+        assert kac_algorithm([], [], 1).m == 1  # one interval needs no coefficients
         with pytest.raises(ValueError):
             kac_algorithm([0.0], [1.0], 5)  # not enough coefficients
 
