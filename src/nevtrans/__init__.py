@@ -26,14 +26,7 @@ from .herglotz import (
     random_nevanlinna,
 )
 from .jacobi import BlockJacobi, build_J0, build_Jhat0, m_cf, m_resolvent, quadrature_m0
-from .kac import (
-    StepHamiltonian,
-    evaluate_H,
-    gammahat_hamiltonian,
-    hamiltonian_H0,
-    hamiltonian_Hn,
-    kac_algorithm,
-)
+from .kac import StepHamiltonian, evaluate_H, hamiltonian_H0, hamiltonian_Hn, kac_algorithm
 from .realize import (
     ChainOperator,
     SubspaceRealization,
@@ -45,13 +38,7 @@ from .realize import (
     simplicity_check,
 )
 from .specialfn import m0_gamma, m0_gammahat, sqrt_offcut
-from .transforms import (
-    IterationTrace,
-    fixed_point_residual_all_powers,
-    gamma,
-    gamma_hat,
-    iterate_gamma_hat,
-)
+from .transforms import IterationTrace, gamma, gamma_hat, iterate_gamma_hat
 
 __version__ = "0.1.0"
 
@@ -75,10 +62,8 @@ __all__ = [
     "defect_operator",
     "evaluate",
     "evaluate_H",
-    "fixed_point_residual_all_powers",
     "gamma",
     "gamma_hat",
-    "gammahat_hamiltonian",
     "hamiltonian_H0",
     "hamiltonian_Hn",
     "is_psd_gram",

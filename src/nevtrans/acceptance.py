@@ -222,13 +222,13 @@ def check_kernels():
 
 def check_hamiltonian_scheme():
     H0 = kac.hamiltonian_H0(20)
-    out = kac.gammahat_hamiltonian(H0)
+    out = kac.hamiltonian_Hn(H0, 1)
     expected = kac.hamiltonian_H0(21)
     exact = np.array_equal(out.breakpoints, expected.breakpoints) and np.array_equal(out.thetas, expected.thetas)
     worst = 0.0
     for a, b in _COEFF_SETS:
         H = kac.kac_algorithm(a, b, 12)
-        g = kac.gammahat_hamiltonian(H)
+        g = kac.hamiltonian_Hn(H, 1)
         # the scheme by its definition: breakpoints (0, t + 1), angles (pi/2, theta + pi/2)
         bp = np.concatenate([[0.0], H.breakpoints + 1.0])
         th = np.concatenate([[math.pi / 2.0], H.thetas + math.pi / 2.0])

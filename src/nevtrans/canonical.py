@@ -40,14 +40,6 @@ class WeylDiskEstimate:
     def contains(self, w: complex) -> bool:
         return abs(w - self.center) <= self.radius + 1e-12
 
-    def to_json_dict(self) -> dict:
-        return {
-            "lambda": [self.lam.real, self.lam.imag],
-            "m": [self.center.real, self.center.imag],
-            "radius": self.radius,
-            "T": self.truncation_T,
-        }
-
 
 def transfer_matrix(theta: float, l: float, lam: complex) -> np.ndarray:
     """Propagator over one constant-theta interval of length l.

@@ -100,6 +100,26 @@ def _add_in_atom_order(first, terms: np.ndarray) -> np.ndarray:
     return stack.cumsum(axis=-3)[..., -1, :, :]
 
 
+def _eigen_blocks(T: np.ndarray, K: np.ndarray) -> list:
+    """(t, V_t* K) for each eigenvalue cluster of the Hermitian T, in ascending order.
+
+    The columns of V_t are the cluster's eigenvectors.  An eigenvalue within
+    1e-12 of a cluster's first eigenvalue joins that cluster, and t is the
+    mean of the cluster's eigenvalues.
+    """
+    w, V = np.linalg.eigh(T)
+    VK = V.conj().T @ K
+    blocks = []
+    i = 0
+    while i < len(w):
+        j = i + 1
+        while j < len(w) and w[j] - w[i] < 1e-12:
+            j += 1
+        blocks.append((np.mean(w[i:j]), VK[i:j]))
+        i = j
+    return blocks
+
+
 def _matrix_to_json(M: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.atleast_2d(M)]
 
@@ -198,9 +218,6 @@ class RealizedFunction:
 
     # -- evaluation ------------------------------------------------------
 
-    def __call__(self, lam: complex) -> np.ndarray:
-        return evaluate(self, lam)
-
     def derivative(self, lam) -> np.ndarray:
         """M'(lam), shape lam.shape + (d, d), exact for the finite representations;
         raises PoleError when any lam is a pole."""
@@ -217,17 +234,7 @@ class RealizedFunction:
         """Equivalent measure variant: diagonalize T, atoms (t_j, K* P_j K)."""
         if self.variant == "measure":
             return self
-        w, V = np.linalg.eigh(self.T)
-        KV = V.conj().T @ self.K  # rows are P_j-components of K in eigenbasis
-        atoms = []
-        i = 0
-        while i < len(w):
-            j = i
-            while j + 1 < len(w) and w[j + 1] - w[i] < 1e-12:
-                j += 1
-            block = KV[i : j + 1]
-            atoms.append((np.mean(w[i : j + 1]), block.conj().T @ block))
-            i = j + 1
+        atoms = [(t, VK.conj().T @ VK) for t, VK in _eigen_blocks(self.T, self.K)]
         t, W = (np.array(x) for x in zip(*atoms))
         # measure form carries the atom-shifted affine part of the standard
         # integral representation so that values agree exactly
@@ -358,15 +365,21 @@ def is_psd_gram(G: np.ndarray) -> bool:
     return bool(np.all(w.min(axis=-1) >= -PSD_TOL * (1.0 + np.abs(w).max(axis=-1))))
 
 
-def random_nevanlinna(seed: int, d: int, n: int) -> RealizedFunction:
-    """Deterministic random realization variant with ||K|| <= 1 and T scaled
-    to spectrum in [-1,1]."""
+def _random_hermitian(seed: int, d: int, n: int):
+    """The generator seeded with seed and the n x n Hermitian T it draws first,
+    scaled to ||T|| = 1; the random functions draw K from the same generator."""
     if d < 1 or n < d:
         raise ValueError("need d >= 1 and n >= d")
     rng = np.random.default_rng(seed)
     G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     T = (G + G.conj().T) / 2.0
-    T = T / np.linalg.norm(T, 2)
+    return rng, T / np.linalg.norm(T, 2)
+
+
+def random_nevanlinna(seed: int, d: int, n: int) -> RealizedFunction:
+    """Deterministic random realization variant with ||K|| <= 1 and T scaled
+    to spectrum in [-1,1]."""
+    rng, T = _random_hermitian(seed, d, n)
     K = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
     K = K / max(1.0, np.linalg.norm(K, 2))
     return RealizedFunction.from_realization(T, K)
@@ -376,11 +389,6 @@ def random_contraction_resolvent(seed: int, d: int, n: int) -> RealizedFunction:
     """Deterministic compressed resolvent P_M (T - lam)^{-1}|_M of a random
     Hermitian contraction, i.e. a member of the class realized by selfadjoint
     contractions (K is a random isometric embedding)."""
-    if d < 1 or n < d:
-        raise ValueError("need d >= 1 and n >= d")
-    rng = np.random.default_rng(seed)
-    G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    T = (G + G.conj().T) / 2.0
-    T = T / np.linalg.norm(T, 2)
+    rng, T = _random_hermitian(seed, d, n)
     Q, _ = np.linalg.qr(rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d)))
     return RealizedFunction.from_realization(T, Q[:, :d])

@@ -80,11 +80,6 @@ class BlockJacobi:
         J[k[1:], :, k[:-1], :] = np.swapaxes(self.b.conj(), -1, -2)
         return J.reshape(N * d, N * d)
 
-    def truncate(self, N: int) -> "BlockJacobi":
-        if not 1 <= N <= self.N:
-            raise ValueError("truncation length out of range")
-        return BlockJacobi(a=self.a[:N], b=self.b[: N - 1])
-
     def to_json(self) -> str:
         return json.dumps(
             {

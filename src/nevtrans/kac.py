@@ -58,10 +58,6 @@ class StepHamiltonian:
         return cls(np.fromiter(breakpoints, float), np.fromiter(thetas, float))
 
     @property
-    def m(self) -> int:
-        return len(self.thetas)
-
-    @property
     def t_end(self) -> float:
         return float(self.breakpoints[-1])
 
@@ -163,9 +159,3 @@ def hamiltonian_Hn(H: StepHamiltonian, n: int) -> StepHamiltonian:
     for _ in range(n):
         thetas[n:] += math.pi / 2.0
     return StepHamiltonian(np.concatenate([np.arange(n + 1.0), H.breakpoints[1:] + n]), thetas)
-
-
-def gammahat_hamiltonian(H: StepHamiltonian) -> StepHamiltonian:
-    """Hamiltonian realizing gamma_hat of H's m-function: the alternating
-    prefix on [0, 2), then I - H(t-1) which shifts each angle by pi/2."""
-    return hamiltonian_Hn(H, 1)

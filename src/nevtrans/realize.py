@@ -1,7 +1,7 @@
 """Realization constructions: defect operators, the block-contraction dilation
 realizing gamma of a compressed resolvent, chain operators realizing the
 gamma_hat iterates, Schur-Frobenius compressed resolvents, and simplicity
-(Krylov minimality) checks.
+(minimality) checks.
 
 The distinguished subspace is always embedded as the leading d coordinates,
 so block patterns are directly assertable on the assembled matrices.
@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PoleError
-from .herglotz import _as_columns, _as_complex, _check_contraction, _finite_inv, _hermitian, _resolvent_solve
+from .herglotz import (_as_columns, _as_complex, _check_contraction, _eigen_blocks, _finite_inv, _hermitian,
+                       _resolvent_solve)
 
 #: singular values below RANK_TOL * s_max count as zero
 RANK_TOL = 1e-10
@@ -53,16 +54,11 @@ class SubspaceRealization:
 @dataclass(frozen=True, eq=False)
 class ChainOperator:
     """Realization of the (n+1)-th gamma_hat iterate: n copies of the corner
-    subspace chained onto the seed realization (K, That)."""
+    subspace chained onto the seed realization (K, That), assembled into one
+    matrix whose leading d coordinates are the distinguished subspace."""
 
-    n: int
-    K: np.ndarray
-    That: np.ndarray
     assembled: np.ndarray
-
-    @property
-    def d(self) -> int:
-        return self.K.shape[1]
+    d: int
 
     def m_basis(self) -> np.ndarray:
         """Orthonormal basis of the distinguished subspace: the leading d coordinates."""
@@ -142,28 +138,21 @@ def chain_A(K: np.ndarray, That: np.ndarray, n: int) -> ChainOperator:
     if size > CHAIN_DIM_CAP:
         raise ValueError(f"chain dimension {size} exceeds cap {CHAIN_DIM_CAP}")
     A = np.zeros((size, size), dtype=complex)
-    eye = np.eye(d, dtype=complex)
-    for i in range(n - 1):
-        A[i * d : (i + 1) * d, (i + 1) * d : (i + 2) * d] = eye
-        A[(i + 1) * d : (i + 2) * d, i * d : (i + 1) * d] = eye
+    A[: n * d, : n * d] = np.kron(np.eye(n, k=1) + np.eye(n, k=-1), np.eye(d))
     A[(n - 1) * d : n * d, n * d :] = K.conj().T
     A[n * d :, (n - 1) * d : n * d] = K
     A[n * d :, n * d :] = That
-    return ChainOperator(n=n, K=K, That=That, assembled=A)
+    return ChainOperator(assembled=A, d=d)
 
 
 def simplicity_check(R: SubspaceRealization):
-    """Krylov test: is span{T^k M, k >= 0} the whole space?
+    """Is R simple, i.e. do the vectors (T - lam)^{-1} M span the whole space?
 
-    Returns (is_simple, krylov_rank) with rank computed from singular values
-    of the block Krylov matrix.
+    R is simple exactly when each spectral projection of T maps M onto its
+    whole eigenspace.  So the rank sums, over T's eigenvalue clusters t, the
+    rank of V_t* M: its singular values above RANK_TOL * ||M||.  Returns
+    (is_simple, rank).
     """
-    T, B = R.T, R.M_basis
-    n = T.shape[0]
-    blocks = [B]
-    for _ in range(n - 1):
-        blocks.append(T @ blocks[-1])
-    krylov = np.hstack(blocks)
-    s = np.linalg.svd(krylov, compute_uv=False)
-    rank = int(np.sum(s > RANK_TOL * s.max()))
-    return rank == n, rank
+    tol = RANK_TOL * np.linalg.norm(R.M_basis, 2)
+    rank = sum(int(np.sum(np.linalg.svd(VM, compute_uv=False) > tol)) for _, VM in _eigen_blocks(R.T, R.M_basis))
+    return rank == R.T.shape[0], rank

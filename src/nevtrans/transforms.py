@@ -31,10 +31,6 @@ def _eye(d: int) -> np.ndarray:
     return eye
 
 
-def _opnorm(M: np.ndarray):
-    return np.linalg.norm(M, 2, axis=(-2, -1))
-
-
 def gamma(Mval: np.ndarray, lam) -> np.ndarray:
     """Value of the involution M^{-1}/(lam^2 - 1)."""
     lam = _as_complex(lam)
@@ -97,21 +93,7 @@ def iterate_gamma_hat(F: RealizedFunction, lam, n: int) -> IterationTrace:
         val = gamma_hat(val, lam)
         trace.values.append(val)
     # one batched SVD over the stacked iterates; each matrix gets the singular values of its own call
-    res = _opnorm(np.array(trace.values) - target)
+    res = np.linalg.norm(np.array(trace.values) - target, 2, axis=(-2, -1))
     trace.residuals = list(res)
     trace.ratios = list(np.divide(res[1:], res[:-1], out=np.zeros_like(res[1:]), where=res[:-1] > 0.0))
     return trace
-
-
-def fixed_point_residual_all_powers(lam: complex, k: int, d: int = 1) -> float:
-    """Deviation after k applications of gamma_hat to the fixed point itself."""
-    lam = complex(lam)
-    if lam.imag == 0.0:
-        raise ValueError("requires Im lam != 0")
-    if k < 1:
-        raise ValueError("need k >= 1")
-    start = m0_gammahat(lam) * np.eye(d)
-    val = start
-    for _ in range(k):
-        val = gamma_hat(val, lam)
-    return _opnorm(val - start)

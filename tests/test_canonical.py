@@ -199,14 +199,6 @@ class TestMCanonical:
 
 
 class TestEstimate:
-    def test_json_dict(self):
-        est = WeylDiskEstimate(lam=2j, center=0.4j, radius=1e-8, truncation_T=16.0)
-        doc = est.to_json_dict()
-        assert doc["lambda"] == [0.0, 2.0]
-        assert doc["m"] == [0.0, 0.4]
-        assert doc["radius"] == 1e-8
-        assert doc["T"] == 16.0
-
     def test_aliases(self):
         est = WeylDiskEstimate(lam=2j, center=0.4j, radius=1e-8, truncation_T=16.0)
         assert est.contains(0.4j + 5e-9)

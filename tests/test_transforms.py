@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nevtrans.herglotz import (
     RealizedFunction,
@@ -10,13 +12,7 @@ from nevtrans.herglotz import (
     random_nevanlinna,
 )
 from nevtrans.specialfn import m0_gamma, m0_gammahat
-from nevtrans.transforms import (
-    IterationTrace,
-    fixed_point_residual_all_powers,
-    gamma,
-    gamma_hat,
-    iterate_gamma_hat,
-)
+from nevtrans.transforms import IterationTrace, gamma, gamma_hat, iterate_gamma_hat
 
 
 class TestGamma:
@@ -107,6 +103,38 @@ class TestGammaHat:
         assert gamma(M[0, 0], lam_grid[0, 0]).shape == gamma_hat(M[0, 0], lam_grid[0, 0]).shape == (d, d)
 
 
+@st.composite
+def nevanlinna_values(draw, min_im):
+    """lam with min_im < |Im lam| <= 4 and the values at lam of two random_nevanlinna
+    functions of one size."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(d, 10))
+    im = draw(st.floats(min_im, 4.0, exclude_min=True)) * draw(st.sampled_from([-1, 1]))
+    lam = complex(draw(st.floats(-4.0, 4.0)), im)
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=2))
+    return lam, *(evaluate(random_nevanlinna(seed, d, n), lam) for seed in seeds)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(nevanlinna_values(min_im=1.0))
+def test_gamma_hat_is_a_contraction_beyond_the_unit_strip(case):
+    # Im(M + lam) is at least Im lam in modulus, so ||(M + lam)^-1|| <= 1/|Im lam|, and
+    # gamma_hat(M1) - gamma_hat(M2) = (M1 + lam)^-1 (M1 - M2) (M2 + lam)^-1
+    lam, M1, M2 = case
+    y = abs(lam.imag)
+    G1, G2 = gamma_hat(M1, lam), gamma_hat(M2, lam)
+    assert np.linalg.norm(G1, 2) <= 1.0 / y + 1e-12
+    assert np.linalg.norm(G1 - G2, 2) <= np.linalg.norm(M1 - M2, 2) / (y * y) + 1e-12
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(nevanlinna_values(min_im=0.1))
+def test_gamma_is_an_involution(case):
+    lam, M, _ = case
+    back = gamma(gamma(M, lam), lam)
+    assert np.linalg.norm(back - M, 2) <= 1e-14 * np.linalg.cond(M) * np.linalg.norm(M, 2)
+
+
 class TestIterate:
     def test_hand_convergents(self):
         trace = iterate_gamma_hat(RealizedFunction.zero(1), 2j, 6)
@@ -161,20 +189,23 @@ class TestIterate:
 
 
 class TestFixedPointPowers:
+    @staticmethod
+    def residual(lam, k, d=1):
+        """Deviation after k applications of gamma_hat to the fixed point itself."""
+        start = m0_gammahat(lam) * np.eye(d)
+        val = start
+        for _ in range(k):
+            val = gamma_hat(val, lam)
+        return np.linalg.norm(val - start, 2)
+
     def test_power_one(self):
-        assert fixed_point_residual_all_powers(2j, 1) < 1e-14
+        assert self.residual(2j, 1) < 1e-14
 
     def test_power_seven(self):
-        assert fixed_point_residual_all_powers(1 + 1j, 7) < 1e-12
+        assert self.residual(1 + 1j, 7) < 1e-12
 
     def test_matrix_dimension(self):
-        assert fixed_point_residual_all_powers(2j, 3, d=4) < 1e-12
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            fixed_point_residual_all_powers(1.0 + 0j, 1)
-        with pytest.raises(ValueError):
-            fixed_point_residual_all_powers(2j, 0)
+        assert self.residual(2j, 3, d=4) < 1e-12
 
 
 class TestClassClosure:
