@@ -14,7 +14,7 @@ import click
 import numpy as np
 
 from .acceptance import SUITES
-from .errors import DegenerateStepError
+from .errors import DegenerateStepError, PoleError
 from .herglotz import RealizedFunction, SampleSet, is_psd_gram, nevanlinna_gram
 from .jacobi import BlockJacobi, m_cf, m_resolvent
 from .kac import StepHamiltonian, evaluate_H, kac_algorithm
@@ -121,8 +121,11 @@ def cmd_mfun(jacobi_file, lam_text, grid_text, floor, out_path):
     if np.min(np.abs(lams.imag)) < floor:
         _fail(EXIT_PRECONDITION, "grid violates half-plane floor")
     step = max(1, _CHUNK_ENTRIES // (J.N * J.d * J.d))
-    M1, M2 = (np.concatenate([route(J, lams[i:i + step]) for i in range(0, lams.size, step)])
-              for route in (m_resolvent, m_cf))
+    try:
+        M1, M2 = (np.concatenate([route(J, lams[i:i + step]) for i in range(0, lams.size, step)])
+                  for route in (m_resolvent, m_cf))
+    except PoleError as exc:  # only a real lambda (--floor 0) meets a pole or a singular pivot
+        _fail(EXIT_PRECONDITION, str(exc))
     # one re, im column pair per complex entry: lambda, then M row-major
     header = ",".join(f"re_{c},im_{c}" for c in ["lambda"] + [f"m{i}{j}" for i in range(J.d) for j in range(J.d)])
     rows = [",".join(_fmt(x) for z in (lam, *M.ravel()) for x in (z.real, z.imag)) for lam, M in zip(lams, M1)]

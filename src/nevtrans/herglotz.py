@@ -378,7 +378,12 @@ def _random_hermitian(seed: int, d: int, n: int):
 
 def random_nevanlinna(seed: int, d: int, n: int) -> RealizedFunction:
     """Deterministic random realization variant with ||K|| <= 1 and T scaled
-    to spectrum in [-1,1]."""
+    to spectrum in [-1,1].
+
+    T is scaled to ||T|| = 1, so n = 1 forces T = +-1, and a K drawn with
+    |K| >= 1 is scaled to |K| = 1: random_nevanlinna(seed, 1, 1) is one of the
+    two functions 1/(+-1 - lam) for about two thirds of seeds.
+    """
     rng, T = _random_hermitian(seed, d, n)
     K = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
     K = K / max(1.0, np.linalg.norm(K, 2))

@@ -2,6 +2,13 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# one hypothesis profile for every property test: derandomized, so every run
+# draws the same examples, and without a deadline, which timing noise on a busy
+# machine would trip; each test sets only its max_examples
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -42,3 +49,12 @@ def decaying_coefficients():
         b = 1.0 + 0.4 * rng.uniform(-1, 1, length - 1) * decay[:-1]
         return a.tolist(), b.tolist()
     return draw
+
+
+@pytest.fixture()
+def anderson_coefficients():
+    """The README's Anderson-type example: a ~ U(-1, 1), b ~ U(0.5, 1.5) from
+    default_rng(1), length 200, as arrays (a, b) with len(b) = 199."""
+    rng = np.random.default_rng(1)
+    a, b = rng.uniform(-1, 1, 200), rng.uniform(0.5, 1.5, 200)
+    return a, b[:199]

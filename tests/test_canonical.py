@@ -20,6 +20,12 @@ A0_ONE = ([1.0] + [0.0] * 60, [1.0] * 61)
 MIXED = ([0.5, -0.3, 0.2, 0.0, -0.1] + [0.0] * 56, [1.2, 0.8, 1.0, 0.9, 1.1] + [1.0] * 56)
 
 
+def _phi(H, lam, m):
+    """The propagator over H's first m intervals, 2^k [[a, b], [c, d]] from _propagator's a, b, c, d and k."""
+    a, b, c, d, k = _propagator(H, lam, m)
+    return 2.0**k * np.array([[a, b], [c, d]])
+
+
 class TestTransferMatrix:
     def test_vertical_angle(self):
         lam = 0.7 + 1.1j
@@ -54,53 +60,57 @@ class TestTransferMatrix:
 
 class TestWeylDisk:
     def test_anchor_center(self):
-        est = weyl_disk(hamiltonian_H0(70), 2j, 60.0)
+        est = weyl_disk(hamiltonian_H0(70), 2j, 60)
         assert abs(est.center - m0_gammahat(2j)) < 1e-6
         assert est.radius < 1e-6
 
     def test_radius_monotone(self):
         H = hamiltonian_H0(50)
-        r = [weyl_disk(H, 2j, float(T)).radius for T in (10, 20, 40)]
+        r = [weyl_disk(H, 2j, m).radius for m in (10, 20, 40)]
         assert r[0] > r[1] > r[2]
 
     def test_disk_membership(self):
         H = hamiltonian_H0(50)
         m0 = m0_gammahat(2j)
-        for T in (4, 10, 20, 40):
-            est = weyl_disk(H, 2j, float(T))
+        for m in (4, 10, 20, 40):
+            est = weyl_disk(H, 2j, m)
             assert est.contains(m0)
 
     def test_nesting(self):
         H = hamiltonian_H0(50)
         prev = None
-        for T in range(4, 44, 4):
-            est = weyl_disk(H, 2j, float(T))
+        for m in range(4, 44, 4):
+            est = weyl_disk(H, 2j, m)
             if prev is not None:
                 assert abs(est.center - prev.center) <= prev.radius - est.radius + 1e-10
             prev = est
 
     def test_line_case_at_T0(self):
         # nothing propagated: the boundary slopes map onto a line, not a circle
-        est = weyl_disk(hamiltonian_H0(3), 2j, 0.0)
+        est = weyl_disk(hamiltonian_H0(3), 2j, 0)
         assert est.radius == canonical.RADIUS_LINE and not est.converged
         assert est.center == 0
 
     def test_entries_beyond_the_square_root_of_the_float_range(self):
         # the entries stay finite while their products overflow
-        est = weyl_disk(hamiltonian_H0(600), 2j, 450.0)
+        est = weyl_disk(hamiltonian_H0(600), 2j, 450)
         assert abs(est.center - m0_gammahat(2j)) < 1e-12
         assert est.radius == 0.0 and est.converged
         # entries that overflow themselves are rejected, not read out
         with pytest.raises(ArithmeticError, match="not finite"):
-            _propagator(hamiltonian_H0(3000), 0.1 + 5j, 3000.0)
+            _propagator(hamiltonian_H0(3000), 0.1 + 5j, 3000)
 
-    def test_requires_breakpoint(self):
-        with pytest.raises(OutOfRangeError):
-            weyl_disk(hamiltonian_H0(10), 2j, 2.5)
+    def test_requires_an_interval_count(self):
+        H = hamiltonian_H0(10)
+        with pytest.raises(TypeError):
+            weyl_disk(H, 2j, 4.0)  # a time, even one at a breakpoint, is not a count
+        for m in (-1, len(H.thetas) + 1):
+            with pytest.raises(OutOfRangeError):
+                weyl_disk(H, 2j, m)
 
     def test_requires_nonreal_lambda(self):
         with pytest.raises(ValueError):
-            weyl_disk(hamiltonian_H0(10), 2.0 + 0j, 4.0)
+            weyl_disk(hamiltonian_H0(10), 2.0 + 0j, 4)
 
     @pytest.mark.parametrize("m", [64, 512])
     def test_propagator_matches_matrix_product(self, m, decaying_coefficients):
@@ -109,15 +119,16 @@ class TestWeylDisk:
             ref = np.eye(2, dtype=complex)
             for j in range(m):
                 ref = transfer_matrix(-H.thetas[j], H.breakpoints[j + 1] - H.breakpoints[j], lam) @ ref
-            got = _propagator(H, lam, H.t_end)
-            assert isinstance(got, np.ndarray) and got.shape == (2, 2) and got.dtype == complex
+            a, b, c, d, k = _propagator(H, lam, m)
+            assert isinstance(k, int) and 0.5 <= max(abs(a), abs(b), abs(c), abs(d)) < 1.0
+            got = 2.0**k * np.array([[a, b], [c, d]])
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_determinant_guard(self, monkeypatch, decaying_coefficients):
         H = kac_algorithm(*decaying_coefficients(64, 7), 64)
         monkeypatch.setattr(canonical, "DET_DRIFT_TOL", 0.0)
         with pytest.raises(ArithmeticError, match="determinant drift"):
-            _propagator(H, 1 + 1j, H.t_end)
+            _propagator(H, 1 + 1j, len(H.thetas))
         monkeypatch.undo()
         # a transfer matrix with determinant (1 + 1e-6)^2 drifts past the
         # default tolerance at a small lambda, where the entries stay O(1);
@@ -130,15 +141,15 @@ class TestWeylDisk:
 
         monkeypatch.setattr(canonical, "transfer_matrix", scaled)
         with pytest.raises(ArithmeticError, match="determinant drift"):
-            _propagator(H, 0.05j, H.t_end)
+            _propagator(H, 0.05j, len(H.thetas))
         assert len(calls) == 16
         with pytest.raises(ArithmeticError, match="determinant drift"):
-            _propagator(H, 0.05j, H.breakpoints[3])  # and after the last interval
+            _propagator(H, 0.05j, 3)  # and after the last interval
 
     def test_propagator_symplectic(self):
         H = hamiltonian_H0(60)
         for lam in (2j, 1 + 1j, -0.5 + 2j):
-            phi = _propagator(H, lam, 40.0)
+            phi = _phi(H, lam, 40)
             det = phi[0, 0] * phi[1, 1] - phi[0, 1] * phi[1, 0]
             scale = max(1.0, abs(phi[0, 0] * phi[1, 1]) + abs(phi[0, 1] * phi[1, 0]))
             assert abs(det - 1.0) <= 1e-12 * scale
@@ -187,6 +198,23 @@ class TestMCanonical:
         est = m_canonical(hamiltonian_H0(3000), 0.1 + 5j, 1e-300)
         assert abs(est.center - m0_gammahat(0.1 + 5j)) < 1e-12
         assert est.radius == 0.0 and est.converged
+
+    @pytest.mark.parametrize("lam", [1j, 2j])
+    def test_work_below_twice_the_intervals_needed(self, lam, monkeypatch, anderson_coefficients):
+        # neighbouring interval lengths differ by up to 6.5e4 here: doubling the
+        # time instead of the count would advance about one interval per level
+        H = kac_algorithm(*anderson_coefficients, 128)
+        calls = []
+
+        def counted(theta, l, z):
+            calls.append(theta)
+            return transfer_matrix(theta, l, z)
+
+        monkeypatch.setattr(canonical, "transfer_matrix", counted)
+        est = m_canonical(H, lam, 1e-8)
+        needed = int(np.searchsorted(H.breakpoints, est.truncation_T))
+        assert est.converged and needed < len(H.thetas)
+        assert len(calls) < 2 * needed
 
     def test_not_converged_flag(self):
         est = m_canonical(hamiltonian_H0(3), 2j, 1e-12)

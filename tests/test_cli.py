@@ -100,6 +100,15 @@ class TestMfun:
         assert r.returncode == 0
         assert r.stdout.split("\n")[1].startswith("3.0,0.0,")
 
+    @pytest.mark.parametrize("re", ["0", repr(2**0.5)])
+    def test_a_pole_is_a_precondition_error(self, tmp_path, re):
+        # lambda = 0 zeroes a first-level pivot; sqrt(2) leaves a solve residual of 0.25
+        p = tmp_path / "jhat3.json"
+        p.write_text(build_Jhat0(1, 3).to_json())
+        r = run_cli("mfun", str(p), "--lambda", f"{re},0", "--floor", "0")
+        assert r.returncode == 3
+        assert r.stdout == "" and r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+
     def test_large_grid_is_evaluated_in_chunks(self, tmp_path, monkeypatch):
         p = tmp_path / "j.json"
         p.write_text(build_Jhat0(3, 30).to_json())
@@ -236,12 +245,10 @@ class TestKac:
         r = run_cli("kac", jhat2, "--m", "50")
         assert r.returncode == 3
 
-    def test_degenerate_step_is_a_precondition_error(self, tmp_path):
+    def test_degenerate_step_is_a_precondition_error(self, tmp_path, anderson_coefficients):
         # Anderson-type coefficients: the interval lengths grow until an angle step degenerates at j = 129
-        rng = np.random.default_rng(1)
-        a, b = rng.uniform(-1, 1, 200), rng.uniform(0.5, 1.5, 200)
         p = tmp_path / "anderson.json"
-        p.write_text(BlockJacobi.of(a, b[:199]).to_json())
+        p.write_text(BlockJacobi.of(*anderson_coefficients).to_json())
         r = run_cli("kac", str(p), "--m", "200")
         assert r.returncode == 3
         assert "degenerate angle step at j=129" in r.stderr

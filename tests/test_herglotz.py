@@ -534,7 +534,7 @@ def _non_finite_calls():
         ("compressed_resolvent", lambda lam: realize.compressed_resolvent(F.T, F.K, lam)),
         ("compressed_resolvent_schur", lambda lam: realize.compressed_resolvent_schur(one, F.K, F.T, lam)),
         ("transfer_matrix", lambda lam: canonical.transfer_matrix(0.3, 1.0, lam)),
-        ("weyl_disk", lambda lam: canonical.weyl_disk(H, lam, 4.0)),
+        ("weyl_disk", lambda lam: canonical.weyl_disk(H, lam, 4)),
         ("m_canonical", lambda lam: canonical.m_canonical(H, lam, 1e-6)),
     ]
 

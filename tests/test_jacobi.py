@@ -246,7 +246,7 @@ def jacobi_and_lambda(draw):
     return J, complex(draw(st.floats(-4.0, 4.0)), im)
 
 
-@settings(max_examples=50, derandomize=True, deadline=None)
+@settings(max_examples=50)
 @given(jacobi_and_lambda())
 def test_routes_agree_with_the_dense_eigendecomposition(case):
     J, lam = case

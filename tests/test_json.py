@@ -11,7 +11,7 @@ from nevtrans.herglotz import RealizedFunction, random_nevanlinna
 from nevtrans.jacobi import BlockJacobi
 from nevtrans.kac import StepHamiltonian
 
-ROUND_TRIP = settings(max_examples=25, derandomize=True, deadline=None)
+ROUND_TRIP = settings(max_examples=25)
 
 finite = st.floats(-1e6, 1e6, allow_nan=False)
 

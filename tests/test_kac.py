@@ -55,13 +55,6 @@ def kac_algorithm_reference(a, b, m):
     return np.concatenate([[0.0], np.cumsum(lengths)]), np.array(thetas)
 
 
-def anderson_coefficients():
-    """The README's Anderson-type example: a ~ U(-1, 1), b ~ U(0.5, 1.5), length 200."""
-    rng = np.random.default_rng(1)
-    a, b = rng.uniform(-1, 1, 200), rng.uniform(0.5, 1.5, 200)
-    return a, b[:199]
-
-
 class TestKacAlgorithm:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_bit_identical_to_reference_loop(self, seed, decaying_coefficients):
@@ -73,8 +66,8 @@ class TestKacAlgorithm:
             assert H.breakpoints.tobytes() == breakpoints.tobytes()
             assert H.thetas.tobytes() == thetas.tobytes()
 
-    def test_anderson_coefficients_degenerate_at_129(self):
-        a, b = anderson_coefficients()
+    def test_anderson_coefficients_degenerate_at_129(self, anderson_coefficients):
+        a, b = anderson_coefficients
         for kac in (kac_algorithm, kac_algorithm_reference):
             with pytest.raises(DegenerateStepError, match="at j=129$"):
                 kac(a, b, 200)

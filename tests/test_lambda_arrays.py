@@ -1,0 +1,49 @@
+"""An array lambda gives the bits of the scalar calls at its points, stacked,
+on random shapes, sizes and data (the fixed-grid versions use the ``stacked``
+fixture)."""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nevtrans.herglotz import evaluate, random_nevanlinna
+from nevtrans.jacobi import BlockJacobi, m_cf, m_resolvent
+from nevtrans.realize import compressed_resolvent
+from nevtrans.transforms import gamma_hat
+
+
+@st.composite
+def batched_cases(draw):
+    """A random block Jacobi matrix and realization of one block size d <= 3, both
+    of size N <= 20, and a lambda array of 0 to 3 axes and at most 12 points, off
+    the real axis."""
+    d, N = draw(st.integers(1, 3)), draw(st.integers(1, 20))
+    shape = tuple(draw(st.lists(st.integers(1, 4), max_size=3).filter(lambda s: math.prod(s) <= 12)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((N, d, d)) + 1j * rng.standard_normal((N, d, d))
+    b = rng.standard_normal((N - 1, d, d)) + 1j * rng.standard_normal((N - 1, d, d))
+    J = BlockJacobi.of((G + np.swapaxes(G.conj(), -1, -2)) / 2, b + 3 * np.eye(d))
+    lam = np.asarray(rng.uniform(-3, 3, shape) + 1j * rng.uniform(0.2, 3, shape) * rng.choice([-1, 1], shape))
+    return J, random_nevanlinna(seed, d, max(N, d)), lam
+
+
+@settings(max_examples=30)
+@given(batched_cases())
+def test_lambda_array_equals_stacked_scalar_calls(case):
+    J, F, lam = case
+    d = J.d
+    M = evaluate(F, lam)
+    routes = {
+        "m_cf": lambda z: m_cf(J, z),
+        "m_resolvent": lambda z: m_resolvent(J, z),
+        "evaluate": lambda z: evaluate(F, z),
+        "compressed_resolvent": lambda z: compressed_resolvent(F.T, F.K, z),
+    }
+    for name, f in routes.items():
+        want = np.array([f(complex(z)) for z in lam.ravel()]).reshape(lam.shape + (d, d))
+        assert np.array_equal(f(lam), want), name
+    want = np.array([gamma_hat(m, complex(z)) for m, z in zip(M.reshape(-1, d, d), lam.ravel())])
+    assert np.array_equal(gamma_hat(M, lam), want.reshape(lam.shape + (d, d))), "gamma_hat"

@@ -115,7 +115,7 @@ def nevanlinna_values(draw, min_im):
     return lam, *(evaluate(random_nevanlinna(seed, d, n), lam) for seed in seeds)
 
 
-@settings(max_examples=50, derandomize=True, deadline=None)
+@settings(max_examples=50)
 @given(nevanlinna_values(min_im=1.0))
 def test_gamma_hat_is_a_contraction_beyond_the_unit_strip(case):
     # Im(M + lam) is at least Im lam in modulus, so ||(M + lam)^-1|| <= 1/|Im lam|, and
@@ -127,7 +127,7 @@ def test_gamma_hat_is_a_contraction_beyond_the_unit_strip(case):
     assert np.linalg.norm(G1 - G2, 2) <= np.linalg.norm(M1 - M2, 2) / (y * y) + 1e-12
 
 
-@settings(max_examples=50, derandomize=True, deadline=None)
+@settings(max_examples=50)
 @given(nevanlinna_values(min_im=0.1))
 def test_gamma_is_an_involution(case):
     lam, M, _ = case
