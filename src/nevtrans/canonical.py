@@ -57,8 +57,11 @@ def transfer_matrix(theta: float, l: float, lam: complex) -> np.ndarray:
         raise ValueError(f"lambda must be finite, got {lam}")
     c, s = math.cos(theta), math.sin(theta)
     z = lam * l
-    # I + z (-J) e e^T with (-J) e e^T = [[s c, s s], [-c c, -c s]]
-    return np.array([[1.0 + z * (s * c), z * (s * s)], [-z * (c * c), 1.0 - z * (c * s)]])
+    # I + z (-J) e e^T with (-J) e e^T = [[s c, s s], [-c c, -c s]], filled in
+    # place: np.array of nested lists costs more than the rest of the call
+    t = np.empty((2, 2), complex)
+    t[0, 0], t[0, 1], t[1, 0], t[1, 1] = 1.0 + z * (s * c), z * (s * s), -z * (c * c), 1.0 - z * (c * s)
+    return t
 
 
 def _normalised(a, b, c, d):
