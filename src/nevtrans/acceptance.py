@@ -51,16 +51,11 @@ def check_quadrature():
 
 def check_contraction():
     tr = transforms.iterate_gamma_hat(RealizedFunction.zero(1), 2j, 30)
-    ok = tr.residuals[-1] <= 1e-14
-    worst_ratio = 0.0
-    for k, ratio in enumerate(tr.ratios):
-        if tr.residuals[k + 1] <= 1e-14:
-            break
-        worst_ratio = max(worst_ratio, ratio)
-    ok = ok and worst_ratio <= 0.25 + 1e-10
+    floor = transforms.RESIDUAL_FLOOR
+    ok = tr.residuals[-1] <= floor and tr.max_ratio <= 0.25 + 1e-10
     return ok, (
-        f"final residual {tr.residuals[-1]:.3e} (tol 1e-14), "
-        f"max ratio {worst_ratio:.6f} (bound 0.25)"
+        f"final residual {tr.residuals[-1]:.3e} (tol {floor:g}), "
+        f"max ratio {tr.max_ratio:.6f} (bound 0.25)"
     )
 
 

@@ -172,11 +172,17 @@ def cmd_iterate(start, lam_text, n_steps, dim, out_path):
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             _fail(EXIT_PARSE, f"invalid function JSON: {exc}")
         _nevanlinna_warning_check(F, lam)
-    trace = iterate_gamma_hat(F, lam, n_steps)
-    _write_text(out_path, trace.to_csv())
-    max_ratio = max(trace.ratios) if trace.ratios else float("nan")
+    try:
+        trace = iterate_gamma_hat(F, lam, n_steps)
+    except (PoleError, np.linalg.LinAlgError) as exc:  # a lenient start met a pole or a singular step
+        _fail(EXIT_PRECONDITION, f"iteration failed: {exc}")
+    # one row per step: the (0, 0) entry of the iterate, its residual, and its ratio to the step before
+    ratios = np.concatenate([[np.nan], trace.ratios])
+    rows = [",".join([str(k)] + [_fmt(x) for x in (v[0, 0].real, v[0, 0].imag, r, q)])
+            for k, (v, r, q) in enumerate(zip(trace.values, trace.residuals, ratios), start=1)]
+    _write_text(out_path, "\n".join(["n,re_value00,im_value00,residual,ratio"] + rows) + "\n")
     click.echo(f"final residual: {_fmt(trace.residuals[-1])}", err=True)
-    click.echo(f"max contraction ratio: {_fmt(max_ratio)}", err=True)
+    click.echo(f"max contraction ratio: {_fmt(trace.max_ratio if n_steps > 1 else np.nan)}", err=True)
 
 
 @main.command("kac")

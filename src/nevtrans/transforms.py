@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +22,10 @@ from .specialfn import CUT_TOL, m0_gammahat
 
 #: condition number above which gamma emits an ill-conditioning warning
 COND_WARN = 1e12
+
+#: residual at and below which an iterate counts as converged to double precision;
+#: ratios from there on measure rounding, not contraction
+RESIDUAL_FLOOR = 1e-14
 
 
 @functools.lru_cache(maxsize=None)
@@ -51,49 +55,41 @@ def gamma_hat(Mval: np.ndarray, lam) -> np.ndarray:
     return -_finite_inv(Mval + np.multiply.outer(_as_complex(lam), _eye(Mval.shape[-1])))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class IterationTrace:
-    """Per-step record of the gamma_hat iteration at a fixed lam.  For an array
-    lam, each value, residual and ratio is an array over it."""
+    """What the gamma_hat iteration at a fixed lam measured, step by step.
+
+    ``values`` is (n,) + lam.shape + (d, d); ``residuals``, (n,) + lam.shape, holds
+    the operator-norm distances to the closed-form fixed point; ``ratios``,
+    (n - 1,) + lam.shape, holds each residual over the one before (0 after a
+    zero residual)."""
 
     lam: complex | np.ndarray
-    values: list = field(default_factory=list)
-    residuals: list = field(default_factory=list)
-    ratios: list = field(default_factory=list)
+    values: np.ndarray
+    residuals: np.ndarray
+    ratios: np.ndarray
 
-    def to_csv(self) -> str:
-        """One row per step; a trace over an array lam has no CSV form."""
-        if np.ndim(self.lam):
-            raise ValueError("to_csv needs the trace of a scalar lam")
-        lines = ["n,re_value00,im_value00,residual,ratio"]
-        for n, (v, r) in enumerate(zip(self.values, self.residuals), start=1):
-            ratio = self.ratios[n - 2] if n >= 2 else float("nan")
-            v00 = v[0, 0]
-            lines.append(
-                f"{n},{v00.real:.17g},{v00.imag:.17g},{r:.17g},{ratio:.17g}"
-            )
-        return "\n".join(lines) + "\n"
+    @property
+    def max_ratio(self):
+        """Per lam, the largest ratio before the residual first reaches RESIDUAL_FLOOR, or 0.0
+        when none does.  A measurement, not a bound: for |Im lam| < 1 early ratios can exceed 1."""
+        floored = np.logical_or.accumulate(self.residuals[1:] <= RESIDUAL_FLOOR, axis=0)
+        return np.max(np.where(floored, 0.0, self.ratios), axis=0, initial=0.0)
 
 
 def iterate_gamma_hat(F: RealizedFunction, lam, n: int) -> IterationTrace:
-    """n steps of M_{k+1} = -(M_k + lam)^{-1} starting from F(lam).
-
-    Residuals are operator-norm distances to the closed-form fixed point;
-    ratios below the double-precision floor are recorded but not meaningful.
-    """
+    """n steps of M_{k+1} = -(M_k + lam)^{-1} starting from F(lam)."""
     lam = _as_complex(lam)
     if np.any(np.imag(lam) == 0.0):
         raise ValueError("iteration requires Im lam != 0")
     if n < 1:
         raise ValueError("need at least one step")
     target = np.multiply.outer(m0_gammahat(lam), np.eye(F.dim))
-    trace = IterationTrace(lam=lam)
+    values = np.empty((n,) + target.shape, dtype=complex)
     val = evaluate(F, lam)
-    for _ in range(n):
-        val = gamma_hat(val, lam)
-        trace.values.append(val)
+    for k in range(n):
+        values[k] = val = gamma_hat(val, lam)
     # one batched SVD over the stacked iterates; each matrix gets the singular values of its own call
-    res = np.linalg.norm(np.array(trace.values) - target, 2, axis=(-2, -1))
-    trace.residuals = list(res)
-    trace.ratios = list(np.divide(res[1:], res[:-1], out=np.zeros_like(res[1:]), where=res[:-1] > 0.0))
-    return trace
+    res = np.linalg.norm(values - target, 2, axis=(-2, -1))
+    ratios = np.divide(res[1:], res[:-1], out=np.zeros_like(res[1:]), where=res[:-1] > 0.0)
+    return IterationTrace(lam, values, res, ratios)

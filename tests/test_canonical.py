@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nevtrans import canonical
 from nevtrans.canonical import (
@@ -224,6 +226,33 @@ class TestMCanonical:
     def test_tolerance_validation(self):
         with pytest.raises(ValueError):
             m_canonical(hamiltonian_H0(5), 2j, 0.0)
+
+
+@st.composite
+def decaying_chain_and_lambda(draw):
+    """Scalar a_k = alpha U(-1, 1)/(1 + k)^2 and b_k = 1 + beta U(-1, 1)/(1 + k)^2 of
+    length N in [2, 200], and lambda with Re in [-3, 3] and Im in [0.05, 3]."""
+    N = draw(st.integers(2, 200))
+    alpha, beta = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 0.5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    decay = 1.0 / (1.0 + np.arange(N)) ** 2
+    a = alpha * rng.uniform(-1, 1, N) * decay
+    b = 1.0 + beta * rng.uniform(-1, 1, N - 1) * decay[:-1]
+    return a, b, complex(draw(st.floats(-3.0, 3.0)), draw(st.floats(0.05, 3.0)))
+
+
+@settings(max_examples=30)
+@given(decaying_chain_and_lambda())
+def test_jacobi_m_lies_in_the_weyl_disk_of_decaying_coefficients(case):
+    # only for decaying coefficients: on random ones the radius leaves out a rounding
+    # error that can exceed it (README, "Errors")
+    a, b, lam = case
+    N = len(a)
+    H = kac_algorithm(a.tolist(), b.tolist(), N)
+    m_J = m_resolvent(BlockJacobi.of(a, b), lam)[0, 0]
+    for m in (1, N // 4, N // 2, N - 1):
+        est = weyl_disk(H, lam, m)
+        assert abs(m_J - est.center) <= est.radius + 1e-13 * (1.0 + abs(m_J)), m
 
 
 class TestEstimate:

@@ -143,6 +143,51 @@ class TestIterate:
         assert float(last[3]) < 1e-6
         assert "final residual" in r.stderr
 
+    def test_csv_format(self):
+        r = run_cli("iterate", "zero", "--lambda", "0,2", "--n", "4")
+        lines = r.stdout.strip().split("\n")
+        assert lines[0] == "n,re_value00,im_value00,residual,ratio"
+        assert len(lines) == 5
+        row = lines[2].split(",")
+        assert int(row[0]) == 2
+        assert abs(float(row[2]) - 0.4) < 1e-15
+        assert lines[1].split(",")[-1] == "nan"
+        # shortest round-trip numbers, as mfun writes them
+        assert all(cli._fmt(float(x)) == x for line in lines[1:] for x in line.split(",")[1:])
+
+    def test_ratio_is_the_one_verify_contraction_reports(self):
+        r = run_cli("iterate", "zero", "--lambda", "0,2", "--n", "40")
+        ratio = float(r.stderr.split("max contraction ratio: ")[1])
+        assert f"max ratio {ratio:.6f} (bound 0.25)" in run_cli("verify", "contraction").stdout
+
+    def test_one_step_has_no_ratio(self):
+        r = run_cli("iterate", "zero", "--lambda", "0,2", "--n", "1")
+        assert r.returncode == 0
+        assert "max contraction ratio: nan\n" in r.stderr
+
+    @pytest.mark.parametrize("doc", [
+        # M(2i) + 2i = 0: the first step inverts a zero matrix
+        {"variant": "measure", "dim": 1, "A": [[[0.0, -2.0]]], "B": [[[0.0, 0.0]]], "atoms": []},
+        # lambda = 2i is an eigenvalue of T: the start has a pole there
+        {"variant": "realization", "dim": 1, "T": [[[0.0, 2.0]]], "K": [[[1.0, 0.0]]]},
+    ])
+    def test_a_lenient_start_that_cannot_be_iterated_is_a_precondition_error(self, tmp_path, doc):
+        p = tmp_path / "start.json"
+        p.write_text(json.dumps(doc))
+        r = run_cli("iterate", str(p), "--lambda", "0,2", "--n", "3")
+        assert r.returncode == 3
+        assert r.stdout == ""
+        errors = [line for line in r.stderr.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and errors[0].startswith("error: iteration failed")
+
+    def test_another_fault_in_the_iteration_propagates(self, monkeypatch):
+        def broken(F, lam, n):
+            raise TypeError("not a pole or a singular step")
+
+        monkeypatch.setattr(cli, "iterate_gamma_hat", broken)
+        r = RUNNER.invoke(main, ["iterate", "zero", "--lambda", "0,2", "--n", "3"])
+        assert isinstance(r.exception, TypeError)
+
     def test_zero_steps_usage_error(self):
         r = run_cli("iterate", "zero", "--lambda", "0,2", "--n", "0")
         assert r.returncode == 2

@@ -209,6 +209,18 @@ class TestHamiltonianHn:
                 assert np.max(np.abs(th1 - np.array(shifted.thetas)[: len(th1)])) <= 1e-12
                 assert np.max(np.abs(bp1 - np.array(shifted.breakpoints)[: len(bp1)])) <= 1e-12
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 4, 16])
+    def test_kac_of_shifted_coefficients_at_length_2000(self, seed, n, decaying_coefficients):
+        # angles near 3000 have ulps near 4.5e-13, below an absolute tolerance's reach;
+        # measured at most 1, 3 and 8 ulps per angle and 1095 per breakpoint
+        a, b = decaying_coefficients(2000, seed)
+        Hn = hamiltonian_Hn(kac_algorithm(a, b, 2000), n)
+        shifted = kac_algorithm([0.0] * n + a, [1.0] * n + b, 2000 + n)
+        assert len(Hn.thetas) == len(shifted.thetas) == 2000 + n
+        assert np.all(np.abs(Hn.thetas - shifted.thetas) <= 2 * n * np.spacing(shifted.thetas))
+        assert np.all(np.abs(Hn.breakpoints - shifted.breakpoints) <= (2000 + n) * np.spacing(shifted.breakpoints))
+
     def test_validation(self):
         with pytest.raises(OutOfRangeError):
             hamiltonian_Hn(hamiltonian_H0(3), 0)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from nevtrans.herglotz import (
     random_nevanlinna,
 )
 from nevtrans.specialfn import m0_gamma, m0_gammahat
-from nevtrans.transforms import IterationTrace, gamma, gamma_hat, iterate_gamma_hat
+from nevtrans.transforms import RESIDUAL_FLOOR, IterationTrace, gamma, gamma_hat, iterate_gamma_hat
 
 
 class TestGamma:
@@ -148,11 +150,7 @@ class TestIterate:
     def test_ratio_bound(self):
         for lam in (2j, 1 + 1.5j, -1 - 2j):
             trace = iterate_gamma_hat(RealizedFunction.zero(2), lam, 15)
-            bound = 1.0 / lam.imag**2 + 1e-10
-            for k, ratio in enumerate(trace.ratios):
-                if trace.residuals[k + 1] < 1e-14:
-                    break
-                assert ratio <= bound
+            assert 0.0 < trace.max_ratio <= 1.0 / lam.imag**2 + 1e-10
 
     def test_floor_reached(self):
         for seed in (0, 5):
@@ -233,27 +231,43 @@ class TestClassClosure:
 
 
 class TestTrace:
-    def test_csv_format(self):
-        trace = iterate_gamma_hat(RealizedFunction.zero(1), 2j, 4)
-        text = trace.to_csv()
-        lines = text.strip().split("\n")
-        assert lines[0] == "n,re_value00,im_value00,residual,ratio"
-        assert len(lines) == 5
-        row = lines[2].split(",")
-        assert int(row[0]) == 2
-        assert abs(float(row[2]) - 0.4) < 1e-15
-
-    def test_csv_needs_a_scalar_lambda(self):
-        trace = iterate_gamma_hat(RealizedFunction.zero(1), np.array([2j, 1 + 3j]), 4)
-        with pytest.raises(ValueError, match="scalar"):
-            trace.to_csv()
-
     def test_lengths_consistent(self):
         trace = iterate_gamma_hat(RealizedFunction.zero(1), 2j, 7)
         assert len(trace.values) == len(trace.residuals) == 7
         assert len(trace.ratios) == 6
         assert all(r >= 0 for r in trace.residuals)
 
-    def test_empty_trace_type(self):
-        t = IterationTrace(lam=2j)
-        assert t.values == [] and t.residuals == [] and t.ratios == []
+    def test_arrays_and_frozen(self, lam_grid):
+        trace = iterate_gamma_hat(random_nevanlinna(2, 2, 6), lam_grid, 5)
+        assert trace.values.shape == (5,) + lam_grid.shape + (2, 2)
+        assert trace.residuals.shape == (5,) + lam_grid.shape
+        assert trace.ratios.shape == (4,) + lam_grid.shape
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            trace.values = trace.values[:1]
+
+    def test_max_ratio_stops_where_the_residual_first_reaches_the_floor(self):
+        floor = RESIDUAL_FLOOR
+        # ratios 0.5, 0.25 count; 1e-16 reaches the floor, and rounding noise after it does not count
+        residuals = np.array([1.0, 0.5, 0.125, 1e-16, 2 * floor, 1e-16])
+        ratios = residuals[1:] / residuals[:-1]
+        assert IterationTrace(2j, None, residuals, ratios).max_ratio == 0.5
+        # a measurement, not a bound: a growing residual is reported
+        assert IterationTrace(2j, None, np.array([1.0, 2.0, 1.0]), np.array([2.0, 0.5])).max_ratio == 2.0
+        assert IterationTrace(2j, None, np.array([1.0, floor]), np.array([floor])).max_ratio == 0.0
+        assert IterationTrace(2j, None, np.array([1.0]), np.zeros(0)).max_ratio == 0.0
+
+    def test_max_ratio_per_lambda(self, lam_grid):
+        trace = iterate_gamma_hat(random_nevanlinna(3, 2, 6), lam_grid, 40)
+        got = trace.max_ratio
+        assert got.shape == lam_grid.shape
+        # the rule applied to each lambda's column of the trace on its own
+        for i in np.ndindex(lam_grid.shape):
+            steps = (slice(None),) + i
+            assert got[i] == IterationTrace(lam_grid[i], None, trace.residuals[steps], trace.ratios[steps]).max_ratio
+
+    def test_max_ratio_at_2i_lies_just_above_the_asymptotic_rate(self):
+        # Gamma_hat'(M0) = M0^2, so the ratios settle at |M0(2i)|^2 = 0.1716; from the zero start the
+        # largest one before the floor (0.1726) lies just above it
+        rate = abs(m0_gammahat(2j)) ** 2
+        ratio = iterate_gamma_hat(RealizedFunction.zero(1), 2j, 40).max_ratio
+        assert rate <= ratio < rate + 2e-3

@@ -1,0 +1,51 @@
+"""Count the code lines of Python files: lines that hold a token other than a
+comment, leaving out blank lines and module, class and function docstrings.
+
+    python3 tools/code_lines.py src/nevtrans/*.py
+
+prints one ``count path`` line per file and then the total.
+"""
+
+from __future__ import annotations
+
+import ast
+import sys
+import tokenize
+
+_LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+           tokenize.ENDMARKER, tokenize.ENCODING}
+
+
+def _docstring_lines(tree: ast.AST) -> set[int]:
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) \
+                    and isinstance(first.value.value, str):
+                lines.update(range(first.lineno, first.end_lineno + 1))
+    return lines
+
+
+def code_lines(path: str) -> int:
+    with open(path, "rb") as fh:
+        source = fh.read()
+    lines = set()
+    with open(path, "rb") as fh:
+        for tok in tokenize.tokenize(fh.readline):
+            if tok.type not in _LAYOUT:
+                lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - _docstring_lines(ast.parse(source)))
+
+
+def main(paths: list[str]) -> None:
+    total = 0
+    for path in paths:
+        n = code_lines(path)
+        total += n
+        print(f"{n:6d} {path}")
+    print(f"{total:6d} total")
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])
