@@ -14,7 +14,7 @@ import click
 import numpy as np
 
 from .acceptance import SUITES
-from .errors import DegenerateStepError, PoleError
+from .errors import CutError, DegenerateStepError, PoleError
 from .herglotz import RealizedFunction, SampleSet, is_psd_gram, nevanlinna_gram
 from .jacobi import BlockJacobi, m_cf, m_resolvent
 from .kac import StepHamiltonian, evaluate_H, kac_algorithm
@@ -152,7 +152,7 @@ def _nevanlinna_warning_check(F: RealizedFunction, lam: complex):
 @click.argument("start")
 @click.option("--lambda", "lam_text", required=True, help="evaluation point RE,IM")
 @click.option("--n", "n_steps", type=int, required=True, help="number of iteration steps")
-@click.option("--dim", type=int, default=1, show_default=True,
+@click.option("--dim", type=click.IntRange(min=1), default=1, show_default=True,
               help="matrix dimension when START is 'zero'")
 @click.option("--out", "out_path", default=None, help="CSV output path (default stdout)")
 def cmd_iterate(start, lam_text, n_steps, dim, out_path):
@@ -174,7 +174,8 @@ def cmd_iterate(start, lam_text, n_steps, dim, out_path):
         _nevanlinna_warning_check(F, lam)
     try:
         trace = iterate_gamma_hat(F, lam, n_steps)
-    except (PoleError, np.linalg.LinAlgError) as exc:  # a lenient start met a pole or a singular step
+    # a lenient start met a pole or a singular step, or lambda lies within CUT_TOL of the fixed point's cut
+    except (PoleError, CutError, np.linalg.LinAlgError) as exc:
         _fail(EXIT_PRECONDITION, f"iteration failed: {exc}")
     # one row per step: the (0, 0) entry of the iterate, its residual, and its ratio to the step before
     ratios = np.concatenate([[np.nan], trace.ratios])

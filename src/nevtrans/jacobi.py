@@ -6,11 +6,13 @@ of the block-tridiagonal system, and a pairwise composition of the
 continued-fraction (J-fraction) maps.  The two must agree; tests exploit this
 as a dual-route check.  Both solve their stacks of blocks through ``_solve``,
 which divides when the blocks are 1 x 1 (d = 1) instead of calling LAPACK
-once per block.
+once per block.  A Kronecker matrix J = j (x) I_d, every block a scalar times
+I_d, is evaluated through its scalar chain j by both routes.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -31,7 +33,9 @@ class BlockJacobi:
     ``a`` is the (N, d, d) stack of Hermitian diagonal blocks, ``b`` the
     (N-1, d, d) stack of superdiagonal blocks; the subdiagonal carries
     ``b_k*`` so the assembled matrix is Hermitian.  ``==`` is identity: a
-    field-wise comparison of arrays has no single truth value.
+    field-wise comparison of arrays has no single truth value.  The two arrays
+    are made read-only, because the routes keep the Kronecker test of
+    ``_scalar_chain`` for the life of J.
     """
 
     a: np.ndarray
@@ -55,6 +59,7 @@ class BlockJacobi:
             cond = np.linalg.cond(b, 1)
         if np.any(cond > OFFDIAG_COND_MAX):
             raise ValueError(f"off-diagonal blocks must be invertible, with condition number <= {OFFDIAG_COND_MAX:g}")
+        a.flags.writeable = b.flags.writeable = False
 
     @classmethod
     def of(cls, a, b) -> "BlockJacobi":
@@ -70,6 +75,18 @@ class BlockJacobi:
     @property
     def d(self) -> int:
         return self.a.shape[-1]
+
+    @functools.cached_property
+    def _scalar_chain(self) -> "BlockJacobi | None":
+        """The d = 1 chain j of the (0, 0) entries when every block is exactly that
+        entry times I_d with d > 1, else None.  Such a J is j (x) I_d up to a
+        permutation of the basis, so its m-function is m_j I_d."""
+        if self.d == 1:
+            return None
+        a, b, eye = self.a[:, :1, :1], self.b[:, :1, :1], np.eye(self.d)
+        if not (np.array_equal(self.a, a * eye) and np.array_equal(self.b, b * eye)):
+            return None
+        return BlockJacobi(a=a.copy(), b=b.copy())
 
     def dense(self) -> np.ndarray:
         d, N = self.d, self.N
@@ -132,6 +149,27 @@ def _solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
         return B / A
 
 
+def _through_scalar_chain(route):
+    """route, evaluating a Kronecker J = j (x) I_d as route(j, lam) (x) I_d.
+
+    route runs on j itself, not through its public name: a wrapper installed
+    on the module attribute sees one call per public call.  The result is
+    exactly m_j on the diagonal and +0.0 off it; the pole guard is j's.
+    """
+    @functools.wraps(route)
+    def reduced(J: BlockJacobi, lam) -> np.ndarray:
+        j = J._scalar_chain
+        if j is None:
+            return route(J, lam)
+        m = route(j, lam)
+        out = np.zeros(m.shape[:-2] + (J.d, J.d), dtype=complex)
+        diag = np.arange(J.d)
+        out[..., diag, diag] = m[..., 0, :]
+        return out
+    return reduced
+
+
+@_through_scalar_chain
 def m_resolvent(J: BlockJacobi, lam) -> np.ndarray:
     """Top-left block of (J - lam I)^{-1} by block cyclic reduction, ceil(log2 N) levels.
 
@@ -145,8 +183,9 @@ def m_resolvent(J: BlockJacobi, lam) -> np.ndarray:
     Im lam < 0), so ||D_o^{-1}|| <= 1/|Im lam|.  For d = 1 the pivots are
     divided out, one elementwise division per level.
 
-    lam may have any shape; the result has shape lam.shape + (d, d).  The
-    levels hold O(points * N * d^2) numbers.  A real lam at which a pivot is
+    lam may have any shape; the result has shape lam.shape + (d, d).  A
+    Kronecker J = j (x) I_d is reduced to j first.  The levels hold
+    O(points * N * d^2) numbers.  A real lam at which a pivot is
     singular (a_k - lam for an odd k, on the first level) raises PoleError
     even off the spectrum.  The residual guard is what certifies the value:
     it also raises at a pole that no pivot shows as singular.
@@ -202,6 +241,7 @@ def m_resolvent(J: BlockJacobi, lam) -> np.ndarray:
     return X[..., 0, :, :].copy()  # a view would keep all N blocks of X alive
 
 
+@_through_scalar_chain
 def m_cf(J: BlockJacobi, lam) -> np.ndarray:
     """Finite J-fraction m = f_0(f_1(... f_{N-1}(0))), f_k(w) = (a_k - lam - b_k w b_k^*)^{-1}.
 
@@ -216,9 +256,10 @@ def m_cf(J: BlockJacobi, lam) -> np.ndarray:
     rank for d > 1.  Equals m_resolvent exactly in exact arithmetic.  For
     d = 1 the leaves and merges divide instead of calling LAPACK.
 
-    lam may have any shape; the result has shape lam.shape + (d, d).  The
-    tree holds O(points * N * d^2) numbers, a stack of N (2d, 2d) blocks per
-    point and its temporaries.  A real lam at which some a_k - lam is
+    lam may have any shape; the result has shape lam.shape + (d, d).  A
+    Kronecker J = j (x) I_d is reduced to j first.  The tree holds
+    O(points * N * d^2) numbers, a stack of N (2d, 2d) blocks per point and
+    its temporaries.  A real lam at which some a_k - lam is
     singular raises PoleError even where the fraction itself is finite.
     There is no residual guard: at a pole that rounding leaves merely
     near-singular it returns a huge finite value where m_resolvent raises.

@@ -44,6 +44,12 @@ def m0_gamma(lam):
 
 
 def m0_gammahat(lam):
-    """Fixed point (-lam + sqrt(lam^2 - 4))/2 of M -> -(M + lam)^{-1}."""
+    """Fixed point (-lam + sqrt(lam^2 - 4))/2 = -2/(lam + sqrt(lam^2 - 4)) of M -> -(M + lam)^{-1}.
+
+    The code uses the second form.  The first cancels for |lam| >> 2, where
+    sqrt(lam^2 - 4) ~ lam: its relative error grows like |lam|^2 u (about 0.5
+    at lam = 1e8 i).  The two roots of M^2 + lam M + 1 multiply to 1, so
+    |lam + sqrt(lam^2 - 4)| = 2/|M| >= 2 and the second form never cancels.
+    """
     lam = _as_complex(lam)
-    return (-lam + sqrt_offcut(lam, 2.0)) / 2.0
+    return -2.0 / (lam + sqrt_offcut(lam, 2.0))

@@ -192,6 +192,20 @@ class TestIterate:
         r = run_cli("iterate", "zero", "--lambda", "0,2", "--n", "0")
         assert r.returncode == 2
 
+    @pytest.mark.parametrize("dim", ["0", "-1"])
+    def test_non_positive_dim_usage_error(self, dim):
+        r = run_cli("iterate", "zero", "--lambda", "0,2", "--n", "3", "--dim", dim)
+        assert r.returncode == 2
+        assert "--dim" in r.stderr
+
+    def test_lambda_within_the_cut_tolerance_is_a_precondition_error(self):
+        # Im lambda != 0, but the fixed point's square root rejects a point this close to [-2, 2]
+        r = run_cli("iterate", "zero", "--lambda", "0,1e-320", "--n", "3")
+        assert r.returncode == 3
+        assert r.stdout == ""
+        errors = [line for line in r.stderr.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "cut" in errors[0]
+
     def test_real_lambda_precondition(self):
         r = run_cli("iterate", "zero", "--lambda", "1,0", "--n", "5")
         assert r.returncode == 3

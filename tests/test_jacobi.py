@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nevtrans import jacobi
 from nevtrans.errors import CutError, PoleError
 from nevtrans.herglotz import RealizedFunction
 from nevtrans.jacobi import (
@@ -255,6 +256,101 @@ def test_routes_agree_with_the_dense_eigendecomposition(case):
         assert np.max(np.abs(route(J, lam) - want)) <= route_tol(want, lam), route.__name__
 
 
+def kronecker(alpha, beta, d):
+    """j (x) I_d: every block of the scalar chain (alpha, beta) times I_d."""
+    eye = np.eye(d)
+    return BlockJacobi.of(np.reshape(alpha, (-1, 1, 1)) * eye, np.reshape(beta, (-1, 1, 1)) * eye)
+
+
+@st.composite
+def kronecker_and_lambda(draw):
+    """A scalar chain (real alpha_k, real or complex beta_k != 0, N <= 64), d in {2, 3}, and lam scalar or an array."""
+    d, N = draw(st.sampled_from([2, 3])), draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    alpha = rng.uniform(-2, 2, N)
+    beta = rng.uniform(0.2, 2, N - 1) * rng.choice([-1.0, 1.0], N - 1)
+    if draw(st.booleans()):
+        beta = beta * np.exp(1j * rng.uniform(0, 2 * np.pi, N - 1))
+    shape = draw(st.sampled_from([(), (3,), (2, 2)]))
+    lam = rng.uniform(-4, 4, shape) + 1j * rng.uniform(0.01, 3, shape) * rng.choice([-1, 1], shape)
+    return alpha, beta, d, complex(lam) if shape == () else lam
+
+
+class TestKroneckerReduction:
+    """J = j (x) I_d is evaluated through its scalar chain j by both routes."""
+
+    @settings(max_examples=25)
+    @given(kronecker_and_lambda())
+    def test_routes_are_the_scalar_chains_times_identity(self, case):
+        alpha, beta, d, lam = case
+        J, j = kronecker(alpha, beta, d), BlockJacobi.of(alpha, beta)
+        for route in (m_resolvent, m_cf):
+            got = route(J, lam)
+            assert np.array_equal(got, route(j, lam) * np.eye(d)), route.__name__
+            for one, M in zip(np.ravel(lam), got.reshape(-1, d, d)):
+                want = dense_m(J, one)
+                assert np.max(np.abs(M - want)) <= route_tol(want, one), route.__name__
+
+    @pytest.mark.parametrize("nudge", ["ulp-on-a-diagonal", "tiny-off-diagonal"])
+    def test_a_near_kronecker_input_takes_the_block_path(self, nudge, monkeypatch):
+        rng = np.random.default_rng(4)
+        alpha, beta = rng.uniform(-1, 1, 6), rng.uniform(0.5, 1.5, 5)
+        J = kronecker(alpha, beta, 3)
+        a, b = J.a.copy(), J.b.copy()
+        if nudge == "ulp-on-a-diagonal":
+            a[2, 1, 1] = np.nextafter(a[2, 1, 1].real, np.inf)
+        else:
+            b[1, 0, 2] = 1e-300
+        near = BlockJacobi.of(a, b)
+        solve, calls = np.linalg.solve, []
+
+        def counted(A, B):
+            calls.append(A.shape[-1])
+            return solve(A, B)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        lam = 0.3 + 0.7j
+        for route in (m_resolvent, m_cf):
+            route(J, lam)
+            assert calls == [], route.__name__  # the scalar chain divides
+            want = dense_m(near, lam)
+            assert np.max(np.abs(route(near, lam) - want)) <= route_tol(want, lam), route.__name__
+            assert calls and set(calls) == {3}, route.__name__  # LAPACK on 3 x 3 blocks
+            calls.clear()
+
+    def test_poles_are_the_scalar_chains(self):
+        # eigenvalues -sqrt(2), 0, sqrt(2): 0 is a singular pivot, sqrt(2) shows only in the residual
+        for lam in (0.0, 1.0, math.sqrt(2)):
+            for route in (m_resolvent, m_cf):
+                try:
+                    want, error = route(build_Jhat0(1, 3), lam), None
+                except PoleError as exc:
+                    error = str(exc)
+                for d in (2, 3):
+                    if error is None:
+                        assert np.array_equal(route(build_Jhat0(d, 3), lam), want * np.eye(d))
+                    else:
+                        with pytest.raises(PoleError) as raised:
+                            route(build_Jhat0(d, 3), lam)
+                        assert str(raised.value) == error  # j's guard, j's residual
+        with pytest.raises(PoleError, match="residual 2.500e-01"):
+            m_resolvent(build_Jhat0(3, 3), math.sqrt(2))
+
+    def test_one_call_of_each_public_name_per_call(self, monkeypatch):
+        # a wrapper on the module attribute, as a tracer installs, must not see the reduction re-enter it
+        seen = []
+        for name in ("m_resolvent", "m_cf"):
+            def spy(J, lam, route=getattr(jacobi, name), name=name):
+                seen.append(name)
+                return route(J, lam)
+
+            monkeypatch.setattr(jacobi, name, spy)
+        for J in (build_Jhat0(3, 8), build_J0(2, 8), random_jacobi(1, 2, 8)):
+            jacobi.m_resolvent(J, 1j)
+            jacobi.m_cf(J, np.array([1j, -2j]))
+        assert seen == ["m_resolvent", "m_cf"] * 3
+
+
 class TestTruncationConvergence:
     def test_jhat0_limit(self):
         lam = 1 + 2j
@@ -336,6 +432,14 @@ class TestStructure:
         J = build_Jhat0(1, 3)
         assert (J == J) is True
         assert (J == build_Jhat0(1, 3)) is False
+
+    def test_blocks_are_read_only(self):
+        # the routes keep the Kronecker test of the first call; a write would leave it stale
+        J = build_Jhat0(3, 4)
+        m_resolvent(J, 1j)
+        for blocks in (J.a, J.b):
+            with pytest.raises(ValueError, match="read-only"):
+                blocks[0, 0, 1] = 0.5
 
     def test_json_round_trip(self):
         J = random_jacobi(5, 2, 4)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -122,6 +123,16 @@ class TestM0Gammahat:
                 assert m0_gammahat(lam).imag * lam.imag > 0
 
     def test_asymptotic_normalization(self):
-        # moderate y: the closed form cancels catastrophically for huge |lam|
-        y = 1e4
-        assert abs(1j * y * m0_gammahat(1j * y) + 1.0) < 1e-6
+        y = 1e9
+        assert abs(1j * y * m0_gammahat(1j * y) + 1.0) < 1e-15
+
+    def test_matches_mpmath_far_from_the_cut(self):
+        # (-lam + sqrt(lam^2 - 4))/2 cancels for |lam| >> 2: relative error 0.49 at 1e8 i, 237 at -2e9 + i
+        rng = np.random.default_rng(16)
+        lams = [1e4 + 1j, 1e8j, -2e9 + 1j, 2e9 - 1j, -1e9j]
+        lams += [complex(r * np.exp(1j * t)) for r in 10.0 ** np.arange(10) for t in rng.uniform(-np.pi, np.pi, 6)]
+        with mpmath.workdps(50):
+            for lam in lams:
+                z = mpmath.mpc(lam.real, lam.imag)
+                want = complex((-z + mpmath.sqrt(z - 2) * mpmath.sqrt(z + 2)) / 2)
+                assert abs(m0_gammahat(lam) - want) <= 1e-15 * abs(want), lam
