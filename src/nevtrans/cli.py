@@ -88,8 +88,11 @@ def _write_text(path, text: str):
     if path is None or path == "-":
         click.echo(text, nl=False)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            _fail(EXIT_PARSE, f"cannot write {path}: {exc}")
 
 
 @click.group()
@@ -151,15 +154,13 @@ def _nevanlinna_warning_check(F: RealizedFunction, lam: complex):
 @main.command("iterate")
 @click.argument("start")
 @click.option("--lambda", "lam_text", required=True, help="evaluation point RE,IM")
-@click.option("--n", "n_steps", type=int, required=True, help="number of iteration steps")
+@click.option("--n", "n_steps", type=click.IntRange(min=1), required=True, help="number of iteration steps")
 @click.option("--dim", type=click.IntRange(min=1), default=1, show_default=True,
               help="matrix dimension when START is 'zero'")
 @click.option("--out", "out_path", default=None, help="CSV output path (default stdout)")
 def cmd_iterate(start, lam_text, n_steps, dim, out_path):
     """Iterate M -> -(M + lambda)^{-1} from START ('zero' or a function JSON file)."""
     lam = complex(_parse_lambdas(lam_text, grid=False)[0])
-    if n_steps < 1:
-        raise click.UsageError("--n must be >= 1")
     if lam.imag == 0.0:
         _fail(EXIT_PRECONDITION, "iteration requires Im lambda != 0")
     if start == "zero":
@@ -188,7 +189,7 @@ def cmd_iterate(start, lam_text, n_steps, dim, out_path):
 
 @main.command("kac")
 @click.argument("jacobi_file", type=click.Path())
-@click.option("--m", "m_intervals", type=int, required=True, help="number of Hamiltonian intervals")
+@click.option("--m", "m_intervals", type=click.IntRange(min=1), required=True, help="number of Hamiltonian intervals")
 @click.option("--out", "out_path", default=None, help="JSON output path (default stdout)")
 def cmd_kac(jacobi_file, m_intervals, out_path):
     """Convert scalar Jacobi coefficients to a step Hamiltonian."""

@@ -8,6 +8,7 @@ the compressed resolvent K* (T - lam)^{-1} K.  Values are d x d complex matrices
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 from dataclasses import InitVar, dataclass
 
@@ -25,6 +26,11 @@ PSD_TOL = 1e-10
 POLE_RESIDUAL_TOL = 1e-8
 
 _POLE_TOL = 1e-12
+
+#: numpy's 1 / x raises no floating-point flag but underflow (which its default errstate ignores)
+#: when |Re x| + |Im x| lies between _RECIP_SAFE and 1 / _RECIP_SAFE: for x = a + ib, |a| >= |b|
+#: (or the mirror image), it scales by 1 / (a + b r), r = b / a, whose modulus lies within [|a|, 2|a|]
+_RECIP_SAFE = 1e-300
 
 
 def _hermitian(M: np.ndarray, tol: float = 1e-10) -> bool:
@@ -45,12 +51,51 @@ def _as_columns(K) -> np.ndarray:
     return K[:, None] if K.ndim == 1 else K
 
 
+@functools.lru_cache(maxsize=None)
+def _eye(d: int) -> np.ndarray:
+    eye = np.eye(d, dtype=complex)  # complex, so that no solve casts it
+    eye.flags.writeable = False  # shared by every call
+    return eye
+
+
+def _solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """np.linalg.solve(A, B) on stacks of d x d blocks, 1 x 1 blocks by one division.
+
+    This is the one place that inverts a 1 x 1 block.  The division is as
+    silent as LAPACK about overflow, and an exactly zero pivot raises
+    LinAlgError as LAPACK does; d > 1 calls np.linalg.solve.
+    """
+    if A.shape[-1] > 1:
+        return np.linalg.solve(A, B)
+    if not A.all():
+        raise np.linalg.LinAlgError("Singular matrix")
+    with np.errstate(all="ignore"):
+        return B / A
+
+
 def _finite_inv(M: np.ndarray) -> np.ndarray:
-    """M^{-1}; raises LinAlgError when M is singular or the inverse is not finite."""
-    inv = np.linalg.inv(M)
-    if not np.all(np.isfinite(inv)):
+    """M^{-1} for a stack of d x d matrices, as _solve(M, I); raises LinAlgError when
+    M is singular or the inverse is not finite.  For d > 1 these are the bits of
+    np.linalg.inv, which solves against I itself."""
+    # I with M's ndim: numpy < 2 reads a right-hand side with one axis fewer as a stack of vectors
+    inv = _solve(M, _eye(M.shape[-1]).reshape((1,) * (M.ndim - 2) + M.shape[-2:]))
+    if not np.isfinite(inv).all():
         raise np.linalg.LinAlgError("numerically singular matrix: the inverse is not finite")
     return inv
+
+
+def _finite_recip(x: np.complex128) -> np.complex128:
+    """_finite_inv of the 1 x 1 matrix [[x]], for one numpy scalar x, as a numpy scalar.
+
+    numpy's scalar division rounds as its array division does, so these are
+    the array path's bits.  Within _RECIP_SAFE's bounds 1 / x runs without the
+    errstate, which costs more than the division; any other x, a zero, a
+    non-finite or an extreme one, takes _finite_inv itself.
+    """
+    z = complex(x)  # Python floats: the sum below overflows to inf without a flag
+    if _RECIP_SAFE < abs(z.real) + abs(z.imag) < 1.0 / _RECIP_SAFE:
+        return 1.0 / x
+    return _finite_inv(np.full((1, 1), x))[0, 0]
 
 
 def _as_complex(x):
@@ -60,8 +105,11 @@ def _as_complex(x):
     complex arithmetic (and its rounding), an array of any shape broadcasts, and
     a non-finite part anywhere raises ValueError.
     """
-    x = np.asarray(x, dtype=complex)
-    x = complex(x) if x.ndim == 0 else x
+    if isinstance(x, (complex, float, int)):  # Python and numpy float64/complex128 scalars, without a 0-d array
+        x = complex(x)
+    else:
+        x = np.asarray(x, dtype=complex)
+        x = complex(x) if x.ndim == 0 else x
     if not (cmath.isfinite(x) if isinstance(x, complex) else np.isfinite(x).all()):
         raise ValueError(f"lambda must be finite, got {x}")
     return x

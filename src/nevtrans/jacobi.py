@@ -4,10 +4,11 @@ The m-function is the top-left d x d block of (J - lam I)^{-1}, computed two
 independent ways, each in ceil(log2 N) batched levels: block cyclic reduction
 of the block-tridiagonal system, and a pairwise composition of the
 continued-fraction (J-fraction) maps.  The two must agree; tests exploit this
-as a dual-route check.  Both solve their stacks of blocks through ``_solve``,
-which divides when the blocks are 1 x 1 (d = 1) instead of calling LAPACK
-once per block.  A Kronecker matrix J = j (x) I_d, every block a scalar times
-I_d, is evaluated through its scalar chain j by both routes.
+as a dual-route check.  Both solve their stacks of blocks through
+``herglotz._solve``, which divides when the blocks are 1 x 1 (d = 1) instead
+of calling LAPACK once per block.  A Kronecker matrix J = j (x) I_d, every
+block a scalar times I_d, is evaluated through its scalar chain j by both
+routes.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CutError, PoleError
-from .herglotz import POLE_RESIDUAL_TOL, _as_complex, _hermitian, _matrix_from_json, _matrix_to_json
+from .herglotz import POLE_RESIDUAL_TOL, _as_complex, _hermitian, _matrix_from_json, _matrix_to_json, _solve
 
 
 #: largest 1-norm condition number of an off-diagonal block; above it the block counts as singular
@@ -133,20 +134,6 @@ def _free_jacobi(d: int, N: int, b_divisors: list) -> BlockJacobi:
         raise ValueError("need d >= 1 and N >= 2")
     eye = np.eye(d, dtype=complex)
     return BlockJacobi.of(np.zeros((N, d, d), dtype=complex), eye / np.reshape(b_divisors, (-1, 1, 1)))
-
-
-def _solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """np.linalg.solve(A, B) on stacks of d x d blocks, 1 x 1 blocks by one division.
-
-    The division is as silent as LAPACK about overflow, and an exactly zero
-    pivot raises LinAlgError as LAPACK does; d > 1 calls np.linalg.solve.
-    """
-    if A.shape[-1] > 1:
-        return np.linalg.solve(A, B)
-    if not np.all(A):
-        raise np.linalg.LinAlgError("Singular matrix")
-    with np.errstate(all="ignore"):
-        return B / A
 
 
 def _through_scalar_chain(route):

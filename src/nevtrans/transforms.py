@@ -7,17 +7,22 @@
 Both take lam of any shape and values of shape lam.shape + (d, d); the
 iteration runs at fixed lam, on a whole lam array at once.  Realizations of
 the iterates as operators live in :mod:`nevtrans.realize`.
+
+A 1 x 1 value is inverted by a division (``herglotz._solve``), never by
+LAPACK or an SVD.  ``gamma_hat`` takes one 1 x 1 value at a scalar lam
+through the same operations on numpy scalars, whose division rounds as
+numpy's array division does: an array lam gives the bits of the scalar
+calls, stacked.
 """
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .herglotz import RealizedFunction, _as_complex, _finite_inv, evaluate
+from .herglotz import RealizedFunction, _as_complex, _eye, _finite_inv, _finite_recip, evaluate
 from .specialfn import CUT_TOL, m0_gammahat
 
 #: condition number above which gamma emits an ill-conditioning warning
@@ -28,31 +33,27 @@ COND_WARN = 1e12
 RESIDUAL_FLOOR = 1e-14
 
 
-@functools.lru_cache(maxsize=None)
-def _eye(d: int) -> np.ndarray:
-    eye = np.eye(d)
-    eye.flags.writeable = False  # shared by every call
-    return eye
-
-
 def gamma(Mval: np.ndarray, lam) -> np.ndarray:
     """Value of the involution M^{-1}/(lam^2 - 1)."""
     lam = _as_complex(lam)
     if np.any(np.minimum(np.abs(lam - 1.0), np.abs(lam + 1.0)) < CUT_TOL):
         raise ValueError(f"lam={lam} is within {CUT_TOL} of +-1, where the lam^2 - 1 factor vanishes")
     Mval = np.atleast_2d(np.asarray(Mval, dtype=complex))
-    cond = np.linalg.cond(Mval)
-    if not np.all(np.isfinite(cond)):
-        raise np.linalg.LinAlgError("singular value passed to gamma")
-    if np.any(cond > COND_WARN):
-        warnings.warn(f"gamma input condition number {np.max(cond):.2e}", RuntimeWarning, stacklevel=2)
-    return np.linalg.inv(Mval) / np.expand_dims(lam * lam - 1.0, (-2, -1))
+    if Mval.shape[-1] > 1:  # a 1 x 1 value's condition number is exactly 1
+        cond = np.linalg.cond(Mval)
+        if not np.all(np.isfinite(cond)):
+            raise np.linalg.LinAlgError("singular value passed to gamma")
+        if np.any(cond > COND_WARN):
+            warnings.warn(f"gamma input condition number {np.max(cond):.2e}", RuntimeWarning, stacklevel=2)
+    return _finite_inv(Mval) / np.expand_dims(lam * lam - 1.0, (-2, -1))
 
 
 def gamma_hat(Mval: np.ndarray, lam) -> np.ndarray:
     """Value of -(M + lam I)^{-1}; LinAlgError at a singular shift signals a non-Nevanlinna input."""
-    Mval = np.atleast_2d(np.asarray(Mval, dtype=complex))
-    return -_finite_inv(Mval + np.multiply.outer(_as_complex(lam), _eye(Mval.shape[-1])))
+    Mval, lam = np.atleast_2d(np.asarray(Mval, dtype=complex)), _as_complex(lam)
+    if Mval.shape == (1, 1) and isinstance(lam, complex):
+        return (-_finite_recip(Mval[0, 0] + lam))[None, None]
+    return -_finite_inv(Mval + np.multiply.outer(lam, _eye(Mval.shape[-1])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,7 +90,9 @@ def iterate_gamma_hat(F: RealizedFunction, lam, n: int) -> IterationTrace:
     val = evaluate(F, lam)
     for k in range(n):
         values[k] = val = gamma_hat(val, lam)
-    # one batched SVD over the stacked iterates; each matrix gets the singular values of its own call
-    res = np.linalg.norm(values - target, 2, axis=(-2, -1))
+    # a 1 x 1 iterate's operator norm is the modulus; larger ones take one batched SVD over the
+    # stacked iterates, each matrix getting the singular values of its own call
+    err = values - target
+    res = np.abs(err[..., 0, 0]) if F.dim == 1 else np.linalg.norm(err, 2, axis=(-2, -1))
     ratios = np.divide(res[1:], res[:-1], out=np.zeros_like(res[1:]), where=res[:-1] > 0.0)
     return IterationTrace(lam, values, res, ratios)

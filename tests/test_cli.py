@@ -304,6 +304,12 @@ class TestKac:
         r = run_cli("kac", jhat2, "--m", "50")
         assert r.returncode == 3
 
+    @pytest.mark.parametrize("m", ["0", "-1"])
+    def test_non_positive_interval_count_usage_error(self, jhat2, m):
+        r = run_cli("kac", jhat2, "--m", m)
+        assert r.returncode == 2
+        assert "--m" in r.stderr
+
     def test_degenerate_step_is_a_precondition_error(self, tmp_path, anderson_coefficients):
         # Anderson-type coefficients: the interval lengths grow until an angle step degenerates at j = 129
         p = tmp_path / "anderson.json"
@@ -351,3 +357,16 @@ class TestVerify:
         r = run_cli("verify")
         assert r.returncode == 0
         assert "available suites" in r.stdout
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("command", [
+        ["mfun", "{jacobi}", "--lambda", "0,1"],
+        ["iterate", "zero", "--lambda", "0,1", "--n", "3"],
+        ["kac", "{jacobi}", "--m", "2"],
+    ], ids=["mfun", "iterate", "kac"])
+    def test_unwritable_out_path_is_one_error_line(self, command, jhat20, tmp_path):
+        out = tmp_path / "missing" / "x.csv"
+        r = run_cli(*[arg.format(jacobi=jhat20) for arg in command], "--out", str(out))
+        assert r.returncode == 2
+        assert r.stderr.startswith(f"error: cannot write {out}") and r.stderr.count("\n") == 1

@@ -1,5 +1,7 @@
 import dataclasses
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,8 +41,12 @@ class TestGamma:
         assert abs(got[0, 0] - 1.0 / (Mval[0, 0] * (lam * lam - 1.0))) < 1e-15
 
     def test_singular_input(self):
-        with pytest.raises(np.linalg.LinAlgError):
-            gamma(np.zeros((2, 2)), 2j)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for M, lam in ((np.zeros((2, 2)), 2j), (np.zeros((1, 1)), 2j),  # 1 x 1: no condition number
+                           (np.array([[[1.0]], [[0.0]]]), np.array([2j, 3j]))):  # one zero in an array
+                with pytest.raises(np.linalg.LinAlgError):
+                    gamma(M, lam)
 
     def test_ill_conditioned_warning(self):
         M = np.diag([1.0, 1e-14])
@@ -85,12 +91,53 @@ class TestGammaHat:
 
     def test_singular_shift_rejected(self):
         lam = 2j
-        with pytest.raises(np.linalg.LinAlgError):
-            gamma_hat(np.array([[-lam]]), lam)
-        with pytest.raises(np.linalg.LinAlgError):  # one singular shift fails the whole array
-            gamma_hat(np.array([[[0.0]], [[-lam]]]), np.array([1j, lam]))
-        with pytest.raises(np.linalg.LinAlgError, match="not finite"):  # invertible, but the inverse overflows
-            gamma_hat(np.array([[-lam + 1e-310]]), lam)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the failures raise no warning on the way
+            with pytest.raises(np.linalg.LinAlgError):
+                gamma_hat(np.array([[-lam]]), lam)
+            with pytest.raises(np.linalg.LinAlgError):  # one singular shift fails the whole array
+                gamma_hat(np.array([[[0.0]], [[-lam]]]), np.array([1j, lam]))
+            with pytest.raises(np.linalg.LinAlgError, match="not finite"):  # invertible, but the inverse overflows
+                gamma_hat(np.array([[-lam + 1e-310]]), lam)
+            with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+                gamma_hat(np.array([[[0.0]], [[-lam + 1e-310]]]), np.array([1j, lam]))
+
+    def test_one_by_one_extremes_match_the_array_call_and_mpmath(self):
+        # |M + lam| from 1e-300 to 1e300, both signs, along the real and the imaginary axis and one
+        # diagonal; M + lam is exact, since lam cancels the component M carries besides x
+        xs = [s * u * 10.0**k for k in range(-300, 301, 20) for s in (1, -1) for u in (1, 1j, 0.6 + 0.8j)]
+        lams = np.array([1.5 if x.real == 0.0 else 1.5j for x in map(complex, xs)])
+        M = (np.array(xs) - lams)[:, None, None]
+        got = gamma_hat(M, lams)
+        with mpmath.workdps(50):
+            for Mk, lam, g in zip(M, lams, got):
+                assert np.array_equal(gamma_hat(Mk, complex(lam)), g)  # one value at a scalar lam: the same bits
+                want = -1 / (mpmath.mpc(Mk[0, 0]) + mpmath.mpc(lam))
+                assert abs(mpmath.mpc(g[0, 0]) - want) <= 4e-16 * abs(want)
+
+    def test_one_by_one_values_call_no_lapack_inverse_or_svd(self, monkeypatch):
+        # a 1 x 1 value is inverted by a division; np.linalg.norm(., 2) is a batched SVD, and
+        # evaluate's Frobenius-norm residual guard is not counted
+        called = []
+
+        def spy(name):
+            real = getattr(np.linalg, name)
+
+            def call(*args, **kwargs):
+                if name != "norm" or (args[1:2] or [kwargs.get("ord")])[0] == 2:
+                    called.append(name)
+                return real(*args, **kwargs)
+            return call
+
+        F1, F2, M = random_nevanlinna(1, 1, 4), random_nevanlinna(2, 2, 4), np.array([[0.3 - 0.2j]])
+        for name in ("inv", "cond", "svd", "norm"):
+            monkeypatch.setattr(np.linalg, name, spy(name))
+        gamma_hat(M, 0.5 + 1.5j)
+        gamma(M, 0.5 + 1.5j)
+        iterate_gamma_hat(F1, 0.5 + 1.5j, 5)
+        assert called == []
+        iterate_gamma_hat(F2, 0.5 + 1.5j, 5)  # the spy sees d > 1
+        assert called == ["norm"]
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_lambda_array_matches_stacked_calls(self, d, lam_grid, stacked):

@@ -1,0 +1,145 @@
+"""Size a change on one perfbench workload within one process, interleaving the
+operations of two trees so that the machine's drift hits both alike.
+
+    python3 tools/ab_ops.py BASE_SRC NEW_SRC --workload jacobi-grid --seed 13 --rounds 24
+
+BASE_SRC and NEW_SRC are directories that hold a ``nevtrans`` package (the
+``src`` of two checkouts).  Both packages are copied into a temporary
+directory and imported as ``nevtrans_base`` and ``nevtrans_new``.  Each tree
+gets its own instance of the workload from the same seed.  Before each
+operation the module-level ``nt`` of the unedited ``perfbench/workloads.py``,
+which its operations read when they run, is rebound to that operation's
+tree; a ``cli-session`` command runs ``python -m nevtrans.cli`` with the
+tree's own source directory on PYTHONPATH.  The tree that runs first
+alternates from one operation to the next and, for each operation, from one
+round to the next.  Every output goes through its operation's own check.
+
+Prints the median time of each operation on both trees and their ratio, the
+median round, and the count of failed checks; exits 1 when a check failed.
+It sizes a change; a gain is still claimed from alternating pairs of
+``perfbench/run.py`` runs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import os
+import shutil
+import statistics
+import sys
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
+TREES = ("nevtrans_base", "nevtrans_new")
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def load_trees(base_src: str, new_src: str, into: str) -> tuple:
+    """Copy the nevtrans package of each source directory into ``into`` and import
+    the copies under the names in TREES; returns the two package modules."""
+    packages = []
+    for name, src in zip(TREES, (base_src, new_src)):
+        dest = os.path.join(into, name)
+        shutil.copytree(os.path.join(src, "nevtrans"), dest, ignore=shutil.ignore_patterns("__pycache__"))
+        spec = importlib.util.spec_from_file_location(name, os.path.join(dest, "__init__.py"),
+                                                      submodule_search_locations=[dest])
+        package = importlib.util.module_from_spec(spec)
+        sys.modules[name] = package  # the package's relative imports resolve through it
+        spec.loader.exec_module(package)
+        packages.append(package)
+    return tuple(packages)
+
+
+def _import_workloads(package):
+    """perfbench's workloads module, its ``import nevtrans`` answered by ``package``."""
+    sys.path.insert(0, PERFBENCH)
+    sys.modules["nevtrans"] = package
+    try:
+        import workloads
+    finally:
+        del sys.modules["nevtrans"]
+    return workloads
+
+
+def _run_op(op):
+    """(seconds, failure messages) of one operation and its check."""
+    t = time.perf_counter()
+    try:
+        out = op.run()
+    except Exception as exc:  # a failing operation is counted, as the benchmark counts it
+        return time.perf_counter() - t, [f"{op.label}: {type(exc).__name__}: {exc}"]
+    dt = time.perf_counter() - t
+    try:
+        return dt, op.check(out)
+    except Exception as exc:  # output the check cannot even read
+        return dt, [f"{op.label}: check raised {type(exc).__name__}: {exc}"]
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    p.add_argument("base_src")
+    p.add_argument("new_src")
+    p.add_argument("--workload", required=True, choices=("jacobi-grid", "realize-kernels", "kac-deep", "cli-session"))
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--rounds", type=int, default=1)
+    args = p.parse_args(argv)
+    srcs = [os.path.abspath(s) for s in (args.base_src, args.new_src)]
+    for var in THREAD_VARS:  # one BLAS thread, as perfbench/run.py gives its processes
+        os.environ[var] = "1"
+    with tempfile.TemporaryDirectory() as tmp:
+        packages = load_trees(*srcs, tmp)
+        wl = _import_workloads(packages[0])
+        sides = []
+        for package, src, name in zip(packages, srcs, TREES):
+            wl.nt = package
+            if args.workload == "cli-session":
+                os.makedirs(os.path.join(tmp, name + "-work"))
+                workload = wl.CliSession(args.seed, os.path.join(tmp, name + "-work"))
+            else:
+                workload = wl.WORKLOADS[args.workload](args.seed)
+            sides.append((package, src, workload.round()))
+
+        def bind(side):
+            package, src, _ = sides[side]
+            wl.nt = package
+            os.environ["PYTHONPATH"] = src
+
+        for side in (0, 1):  # warm-up, as the benchmark's first operation
+            bind(side)
+            _run_op(sides[side][2][0])
+        labels = [op.label for op in sides[0][2]]
+        times = [[[] for _ in labels], [[] for _ in labels]]
+        rounds = [[], []]
+        failures = [[], []]
+        for r in range(args.rounds):
+            total = [0.0, 0.0]
+            for i in range(len(labels)):
+                first = (r + i) % 2  # alternates along the round and, for each operation, between rounds
+                for side in (first, 1 - first):
+                    bind(side)
+                    dt, bad = _run_op(sides[side][2][i])
+                    times[side][i].append(dt)
+                    total[side] += dt
+                    failures[side] += bad
+            for side in (0, 1):
+                rounds[side].append(total[side])
+
+    print(f"{args.workload} seed {args.seed}, {args.rounds} rounds; base {srcs[0]}, new {srcs[1]}")
+    rows = [(label, times[0][i], times[1][i]) for i, label in enumerate(labels)] + [("round", *rounds)]
+    width = max(len(label) for label, _, _ in rows) + 2
+    print(f"{'operation':<{width}}{'base ms':>10}{'new ms':>10}{'new/base':>10}")
+    for label, base, new in rows:
+        b, n = 1e3 * statistics.median(base), 1e3 * statistics.median(new)
+        print(f"{label:<{width}}{b:>10.1f}{n:>10.1f}{n / b:>10.3f}")
+    print(f"failed checks: base {len(failures[0])}, new {len(failures[1])}")
+    for side, name in enumerate(TREES):
+        for message in failures[side][:5]:
+            print(f"  {name}: {message}")
+    return 1 if failures[0] or failures[1] else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
