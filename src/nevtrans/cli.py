@@ -118,6 +118,8 @@ def cmd_mfun(jacobi_file, lam_text, grid_text, floor, out_path):
     J = _load_jacobi(jacobi_file)
     if (lam_text is None) == (grid_text is None):
         _fail(EXIT_PARSE, "exactly one of --lambda / --grid is required")
+    if np.isnan(floor):  # x < nan is False: the half-plane test would pass every point
+        _fail(EXIT_PARSE, "--floor must be a number, not NaN")
     if grid_text is not None and not floor > 0:
         _fail(EXIT_PARSE, "--floor must be positive for --grid")
     lams = _parse_lambdas(lam_text if grid_text is None else grid_text, grid=grid_text is not None)

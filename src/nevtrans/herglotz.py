@@ -58,6 +58,12 @@ def _eye(d: int) -> np.ndarray:
     return eye
 
 
+def _times_eye(x, d: int) -> np.ndarray:
+    """x I_d, of shape x.shape + (d, d).  A Python scalar x takes one product with
+    I_d, not np.multiply.outer of a 0-d array; products by 1 and 0 are exact either way."""
+    return x * _eye(d) if isinstance(x, complex) else np.multiply.outer(x, _eye(d))
+
+
 def _solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """np.linalg.solve(A, B) on stacks of d x d blocks, 1 x 1 blocks by one division.
 
@@ -351,9 +357,14 @@ def evaluate(F: RealizedFunction, lam) -> np.ndarray:
     lam is an atom / eigenvalue of T.  A realization solves one n x n system per lam."""
     lam = _as_complex(lam)
     if F.variant == "measure":
+        # lam as a (1, 1) array even when scalar: numpy's loop for a scalar operand, with the
+        # same bits otherwise, flags a spurious overflow on a 1 x 1 B = 0 at |lam| near 1e308
+        affine = F.A + F.B * np.asarray(lam)[..., None, None]
         t = F.atom_t
+        if not len(t):  # what _add_in_atom_order returns over no atoms
+            return affine
         weights = 1.0 / _atom_gaps(t, lam) - t / (t * t + 1.0)
-        return _add_in_atom_order(F.A + F.B * np.expand_dims(lam, (-2, -1)), F.atom_W * weights[..., None, None])
+        return _add_in_atom_order(affine, F.atom_W * weights[..., None, None])
     return F.K.conj().T @ _resolvent_solve(F.T, F.K, lam)
 
 

@@ -8,7 +8,8 @@ as a dual-route check.  Both solve their stacks of blocks through
 ``herglotz._solve``, which divides when the blocks are 1 x 1 (d = 1) instead
 of calling LAPACK once per block.  A Kronecker matrix J = j (x) I_d, every
 block a scalar times I_d, is evaluated through its scalar chain j by both
-routes.
+routes.  Each BlockJacobi builds the lambda-independent stacks of both routes
+once, at their first call.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CutError, PoleError
-from .herglotz import POLE_RESIDUAL_TOL, _as_complex, _hermitian, _matrix_from_json, _matrix_to_json, _solve
+from .herglotz import (
+    POLE_RESIDUAL_TOL, _as_complex, _eye, _hermitian, _matrix_from_json, _matrix_to_json, _solve, _times_eye,
+)
 
 
 #: largest 1-norm condition number of an off-diagonal block; above it the block counts as singular
@@ -36,7 +39,9 @@ class BlockJacobi:
     ``b_k*`` so the assembled matrix is Hermitian.  ``==`` is identity: a
     field-wise comparison of arrays has no single truth value.  The two arrays
     are made read-only, because the routes keep the Kronecker test of
-    ``_scalar_chain`` for the life of J.
+    ``_scalar_chain`` and the lambda-independent stacks built from a and b
+    (``_b_adj``, ``_cr_rows``, ``_cf_rhs``, ``_cf_b_adj`` and
+    ``_residual_rows``, each read-only too) for the life of J.
     """
 
     a: np.ndarray
@@ -89,6 +94,41 @@ class BlockJacobi:
             return None
         return BlockJacobi(a=a.copy(), b=b.copy())
 
+    @functools.cached_property
+    def _b_adj(self) -> np.ndarray:
+        """The (N-1, d, d) subdiagonal blocks b_k*."""
+        return _read_only(np.swapaxes(self.b.conj(), -1, -2))
+
+    @functools.cached_property
+    def _cr_rows(self) -> np.ndarray:
+        """m_resolvent's first level, [L_k | U_k | R_k] = [b_{k-1}* | b_k | E0_k] with
+        b_{-1} = b_{N-1} = 0 and E0 = (I, 0, ..., 0): (N, d, 3d)."""
+        d, zero = self.d, np.zeros((1, self.d, self.d), dtype=complex)
+        return _read_only(np.concatenate([
+            np.concatenate([zero, self._b_adj]),
+            np.concatenate([self.b, zero]),
+            np.concatenate([_eye(d)[None], np.zeros((self.N - 1, d, d))]),
+        ], axis=-1))
+
+    @functools.cached_property
+    def _cf_rhs(self) -> np.ndarray:
+        """The J-fraction leaves' right-hand sides [I | b_k], with b_{N-1} = 0: (N, d, 2d)."""
+        b = np.concatenate([self.b, np.zeros((1, self.d, self.d))])
+        return _read_only(np.concatenate([np.broadcast_to(_eye(self.d), b.shape), b], axis=-1))
+
+    @functools.cached_property
+    def _cf_b_adj(self) -> np.ndarray:
+        """The leaves' b_k*, b_{N-1}* = 0 included: (N, d, d)."""
+        return _read_only(np.swapaxes(self._cf_rhs[..., self.d:].conj(), -1, -2))
+
+    @functools.cached_property
+    def _residual_rows(self) -> np.ndarray:
+        """[a_k; b_k*; b_{k-1}] with b_{-1} = b_{N-1} = 0, the blocks that carry X_k into
+        rows k, k + 1 and k - 1 of m_resolvent's residual: (N, 3d, d)."""
+        zero = np.zeros((1, self.d, self.d), dtype=complex)
+        return _read_only(np.concatenate(
+            [self.a, np.concatenate([self._b_adj, zero]), np.concatenate([zero, self.b])], axis=-2))
+
     def dense(self) -> np.ndarray:
         d, N = self.d, self.N
         J = np.zeros((N, d, N, d), dtype=complex)
@@ -117,6 +157,11 @@ class BlockJacobi:
         if J.d != doc["d"]:
             raise ValueError("declared block dimension does not match the blocks")
         return J
+
+
+def _read_only(x: np.ndarray) -> np.ndarray:
+    x.flags.writeable = False
+    return x
 
 
 def build_J0(d: int, N: int) -> BlockJacobi:
@@ -168,7 +213,11 @@ def m_resolvent(J: BlockJacobi, lam) -> np.ndarray:
     Schur complement of J - lam itself.  Its imaginary part (D - D^*)/2i is
     -Im lam I minus a positive semidefinite term for Im lam > 0 (plus one for
     Im lam < 0), so ||D_o^{-1}|| <= 1/|Im lam|.  For d = 1 the pivots are
-    divided out, one elementwise division per level.
+    divided out, one elementwise division per level.  For d > 1 each level's
+    substitution, and the residual, make one product per shared right operand
+    with the left operands stacked along rows: every entry is still the same
+    d-term sum.  Scalar chains keep one product per neighbour, which costs
+    less there.
 
     lam may have any shape; the result has shape lam.shape + (d, d).  A
     Kronecker J = j (x) I_d is reduced to j first.  The levels hold
@@ -178,20 +227,17 @@ def m_resolvent(J: BlockJacobi, lam) -> np.ndarray:
     it also raises at a pole that no pivot shows as singular.
     """
     lam = _as_complex(lam)
-    d, N = J.d, J.N
-    eye = np.eye(d, dtype=complex)
-    shift = np.multiply.outer(lam, eye)
-    lead = np.shape(lam)
-    zero = np.zeros((1, d, d), dtype=complex)
-    # C_k = [L_k | U_k | R_k], with L_0 = U_{N-1} = 0 and R = E0; lam's axes as
-    # ones, since numpy < 2 reads a solve right-hand side with one axis fewer
-    # than the matrices as a stack of vectors
-    C = np.concatenate([
-        np.concatenate([zero, np.swapaxes(J.b.conj(), -1, -2)]),
-        np.concatenate([J.b, zero]),
-        np.concatenate([eye[None], np.zeros((N - 1, d, d))]),
-    ], axis=-1).reshape((1,) * len(lead) + (N, d, 3 * d))
-    D = J.a - shift[..., None, :, :]
+    d, lead = J.d, np.shape(lam)
+    shift = _times_eye(lam, d)[..., None, :, :]
+    # C_k = [L_k | U_k | R_k]; lam's axes as ones, since numpy < 2 reads a solve
+    # right-hand side with one axis fewer than the matrices as a stack of vectors
+    C = J._cr_rows.reshape((1,) * len(lead) + J._cr_rows.shape)
+    if d > 1:  # [a_k - lam; b_k*; b_{k-1}], for the residual
+        rows = np.broadcast_to(J._residual_rows, lead + J._residual_rows.shape).copy()
+        rows[..., :d, :] -= shift
+    else:
+        rows = J.a - shift
+    D = rows[..., :d, :]  # the first pivots, a_k - lam
     levels = []
     try:
         while D.shape[-3] > 1:
@@ -203,7 +249,15 @@ def m_resolvent(J: BlockJacobi, lam) -> np.ndarray:
             pad = np.zeros(abr.shape[:-3] + (1, d, 3 * d), dtype=complex)
             odd = np.concatenate([pad, abr] + [pad] * (D.shape[-3] % 2), axis=-3)
             C = C[..., ::2, :, :]
-            left, right = C[..., :d] @ odd[..., :-1, :, :], C[..., d:2 * d] @ odd[..., 1:, :, :]
+            if d > 1:
+                # one product per odd slot j, [U_{j-1}; L_j] @ odd_j, for the even rows
+                # on either side of it (zero blocks past the ends)
+                W = np.zeros(odd.shape[:-2] + (2 * d, d), dtype=complex)
+                W[..., 1:, :d, :], W[..., :-1, d:, :] = C[..., d:2 * d], C[..., :d]
+                Q = W @ odd
+                left, right = Q[..., :-1, d:, :], Q[..., 1:, :d, :]
+            else:
+                left, right = C[..., :d] @ odd[..., :-1, :, :], C[..., d:2 * d] @ odd[..., 1:, :, :]
             D = D[..., ::2, :, :] - left[..., d:2 * d] - right[..., :d]
             R = C[..., 2 * d:] - left[..., 2 * d:] - right[..., 2 * d:]
             C = np.concatenate([-left[..., :d], -right[..., d:2 * d], R], axis=-1)
@@ -218,10 +272,16 @@ def m_resolvent(J: BlockJacobi, lam) -> np.ndarray:
         X, X_even = np.empty(X.shape[:-3] + (X.shape[-3] + n_odd, d, d), dtype=complex), X
         X[..., ::2, :, :], X[..., 1::2, :, :] = X_even, X_odd
     # pole guard on the O(N) block residual: a dense one would build the N d x N d matrix
-    r = (J.a - shift[..., None, :, :]) @ X
-    r[..., 1:, :, :] += np.swapaxes(J.b.conj(), -1, -2) @ X[..., :-1, :, :]
-    r[..., :-1, :, :] += J.b @ X[..., 1:, :, :]
-    r[..., 0, :, :] -= eye
+    P = rows @ X
+    if d > 1:  # X_k's terms in rows k, k + 1 and k - 1 from one product
+        r = P[..., :d, :]
+        r[..., 1:, :, :] += P[..., :-1, d:2 * d, :]
+        r[..., :-1, :, :] += P[..., 1:, 2 * d:, :]
+    else:
+        r = P
+        r[..., 1:, :, :] += J._b_adj @ X[..., :-1, :, :]
+        r[..., :-1, :, :] += J.b @ X[..., 1:, :, :]
+    r[..., 0, :, :] -= _eye(d)
     res = np.max(np.linalg.norm(r, axis=(-2, -1)))
     if not res <= POLE_RESIDUAL_TOL * np.sqrt(d):  # a NaN residual fails too
         raise PoleError(f"solve residual {res:.3e}: lambda={lam} is near the truncation spectrum")
@@ -241,7 +301,9 @@ def m_cf(J: BlockJacobi, lam) -> np.ndarray:
     corner blocks of the resolvent of its stretch of the chain (times b), so
     they stay bounded, where a product of 2d x 2d transfer matrices loses
     rank for d > 1.  Equals m_resolvent exactly in exact arithmetic.  For
-    d = 1 the leaves and merges divide instead of calling LAPACK.
+    d = 1 the leaves and merges divide instead of calling LAPACK.  A merge
+    makes one product per shared right operand, the left operands stacked
+    along rows.
 
     lam may have any shape; the result has shape lam.shape + (d, d).  A
     Kronecker J = j (x) I_d is reduced to j first.  The tree holds
@@ -253,14 +315,12 @@ def m_cf(J: BlockJacobi, lam) -> np.ndarray:
     """
     lam = _as_complex(lam)
     d, lead = J.d, np.shape(lam)
-    eye = np.eye(d, dtype=complex)
-    b = np.concatenate([J.b, np.zeros((1, d, d))])
     # [S11 | S12] = c^{-1} [I | b] and [S21 | S22] = b^* [S11 | S12]; the
     # right-hand side carries lam's axes as ones, as in m_resolvent
-    eye_b = np.concatenate([np.broadcast_to(eye, b.shape), b], axis=-1).reshape((1,) * len(lead) + (J.N, d, 2 * d))
+    rhs = J._cf_rhs.reshape((1,) * len(lead) + J._cf_rhs.shape)
     try:
-        S = _solve(J.a - np.multiply.outer(lam, eye)[..., None, :, :], eye_b)
-        S = np.concatenate([S, np.swapaxes(b.conj(), -1, -2) @ S], axis=-2)
+        S = _solve(J.a - _times_eye(lam, d)[..., None, :, :], rhs)
+        S = np.concatenate([S, J._cf_b_adj @ S], axis=-2)
         while S.shape[-3] > 1:
             n_pairs = S.shape[-3] // 2
             outer, inner = S[..., 0:2 * n_pairs:2, :, :], S[..., 1:2 * n_pairs:2, :, :]
@@ -268,14 +328,16 @@ def m_cf(J: BlockJacobi, lam) -> np.ndarray:
             # [H11 | H12] = [S11 | S12 T12] + S12 T11 V,  [H21 | H22] = [0 | T22] + T21 V.
             # A solve, not inv(I - S22 T11) @ [...]: on random d = 3 chains near
             # the real axis the inverse lost up to 400 times more accuracy.
-            s22_t = outer[..., d:, d:] @ inner[..., :d, :]  # [S22 T11 | S22 T12]
-            s12_t = outer[..., :d, d:] @ inner[..., :d, :]  # [S12 T11 | S12 T12]
-            V = _solve(eye - s22_t[..., :d], np.concatenate([outer[..., d:, :d], s22_t[..., d:]], axis=-1))
-            top = np.concatenate([outer[..., :d, :d], s12_t[..., d:]], axis=-1) + s12_t[..., :d] @ V
-            bottom = inner[..., d:, :d] @ V
-            bottom[..., d:] += inner[..., d:, d:]
+            # products that share a right operand are one product of row-stacked left operands
+            st = outer[..., d:] @ inner[..., :d, :]  # [S12 T11 | S12 T12; S22 T11 | S22 T12]
+            s12_t, s22_t = st[..., :d, :], st[..., d:, :]
+            V = _solve(_eye(d) - s22_t[..., :d], np.concatenate([outer[..., d:, :d], s22_t[..., d:]], axis=-1))
+            H = np.concatenate([s12_t[..., :d], inner[..., d:, :d]], axis=-2) @ V  # [S12 T11 V; T21 V]
+            H[..., :d, :d] += outer[..., :d, :d]
+            H[..., :d, d:] += s12_t[..., d:]
+            H[..., d:, d:] += inner[..., d:, d:]
             # an odd one out, the last map, goes up a level unchanged
-            S = np.concatenate([np.concatenate([top, bottom], axis=-2), S[..., 2 * n_pairs:, :, :]], axis=-3)
+            S = np.concatenate([H, S[..., 2 * n_pairs:, :, :]], axis=-3)
     except np.linalg.LinAlgError as exc:
         raise PoleError(f"singular shift in the J-fraction at lambda={lam}") from exc
     m = S[..., 0, :d, :d].copy()  # not a view that keeps S alive

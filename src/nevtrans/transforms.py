@@ -12,7 +12,9 @@ A 1 x 1 value is inverted by a division (``herglotz._solve``), never by
 LAPACK or an SVD.  ``gamma_hat`` takes one 1 x 1 value at a scalar lam
 through the same operations on numpy scalars, whose division rounds as
 numpy's array division does: an array lam gives the bits of the scalar
-calls, stacked.
+calls, stacked.  A scalar lam stays a Python complex: ``gamma`` tests it
+against +-1 with ``abs`` and divides by the Python scalar lam^2 - 1, and
+lam I_d and the iteration's target m0 I_d are one product with I_d each.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .herglotz import RealizedFunction, _as_complex, _eye, _finite_inv, _finite_recip, evaluate
+from .herglotz import RealizedFunction, _as_complex, _finite_inv, _finite_recip, _times_eye, evaluate
 from .specialfn import CUT_TOL, m0_gammahat
 
 #: condition number above which gamma emits an ill-conditioning warning
@@ -36,7 +38,12 @@ RESIDUAL_FLOOR = 1e-14
 def gamma(Mval: np.ndarray, lam) -> np.ndarray:
     """Value of the involution M^{-1}/(lam^2 - 1)."""
     lam = _as_complex(lam)
-    if np.any(np.minimum(np.abs(lam - 1.0), np.abs(lam + 1.0)) < CUT_TOL):
+    if isinstance(lam, complex):  # Python arithmetic rounds as numpy's does, without its dispatch
+        near, scale = min(abs(lam - 1.0), abs(lam + 1.0)) < CUT_TOL, lam * lam - 1.0
+    else:
+        near = np.any(np.minimum(np.abs(lam - 1.0), np.abs(lam + 1.0)) < CUT_TOL)
+        scale = np.expand_dims(lam * lam - 1.0, (-2, -1))
+    if near:
         raise ValueError(f"lam={lam} is within {CUT_TOL} of +-1, where the lam^2 - 1 factor vanishes")
     Mval = np.atleast_2d(np.asarray(Mval, dtype=complex))
     if Mval.shape[-1] > 1:  # a 1 x 1 value's condition number is exactly 1
@@ -45,7 +52,7 @@ def gamma(Mval: np.ndarray, lam) -> np.ndarray:
             raise np.linalg.LinAlgError("singular value passed to gamma")
         if np.any(cond > COND_WARN):
             warnings.warn(f"gamma input condition number {np.max(cond):.2e}", RuntimeWarning, stacklevel=2)
-    return _finite_inv(Mval) / np.expand_dims(lam * lam - 1.0, (-2, -1))
+    return _finite_inv(Mval) / scale
 
 
 def gamma_hat(Mval: np.ndarray, lam) -> np.ndarray:
@@ -53,7 +60,7 @@ def gamma_hat(Mval: np.ndarray, lam) -> np.ndarray:
     Mval, lam = np.atleast_2d(np.asarray(Mval, dtype=complex)), _as_complex(lam)
     if Mval.shape == (1, 1) and isinstance(lam, complex):
         return (-_finite_recip(Mval[0, 0] + lam))[None, None]
-    return -_finite_inv(Mval + np.multiply.outer(lam, _eye(Mval.shape[-1])))
+    return -_finite_inv(Mval + _times_eye(lam, Mval.shape[-1]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,11 +88,11 @@ class IterationTrace:
 def iterate_gamma_hat(F: RealizedFunction, lam, n: int) -> IterationTrace:
     """n steps of M_{k+1} = -(M_k + lam)^{-1} starting from F(lam)."""
     lam = _as_complex(lam)
-    if np.any(np.imag(lam) == 0.0):
+    if lam.imag == 0.0 if isinstance(lam, complex) else np.any(lam.imag == 0.0):
         raise ValueError("iteration requires Im lam != 0")
     if n < 1:
         raise ValueError("need at least one step")
-    target = np.multiply.outer(m0_gammahat(lam), np.eye(F.dim))
+    target = _times_eye(m0_gammahat(lam), F.dim)
     values = np.empty((n,) + target.shape, dtype=complex)
     val = evaluate(F, lam)
     for k in range(n):

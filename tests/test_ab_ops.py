@@ -1,4 +1,4 @@
-"""The loader of tools/ab_ops.py: two copies of one tree import as distinct packages."""
+"""tools/ab_ops.py: two copies of one tree import as distinct packages, and the round-ratio summary."""
 
 import importlib.util
 import os
@@ -10,10 +10,22 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC, TOOL = os.path.join(ROOT, "src"), os.path.join(ROOT, "tools", "ab_ops.py")
 
 
-def test_two_copies_of_one_tree_are_distinct_and_give_equal_bits(tmp_path):
+def _load_tool():
     spec = importlib.util.spec_from_file_location("ab_ops", TOOL)
     ab_ops = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ab_ops)
+    return ab_ops
+
+
+def test_ratio_summary_gives_the_median_and_quartiles_of_the_round_ratios():
+    ab_ops = _load_tool()
+    base, new = [1.0, 2.0, 4.0, 1.0, 5.0], [0.9, 1.6, 4.0, 0.7, 6.0]  # ratios 0.9, 0.8, 1, 0.7, 1.2
+    assert ab_ops.ratio_summary(base, new) == "round ratio new/base: median 0.900, quartiles [0.800, 1.000] over 5 rounds"
+    assert ab_ops.ratio_summary([2.0], [1.0]) == "round ratio new/base: median 0.500, quartiles [0.500, 0.500] over 1 rounds"
+
+
+def test_two_copies_of_one_tree_are_distinct_and_give_equal_bits(tmp_path):
+    ab_ops = _load_tool()
     try:
         base, new = ab_ops.load_trees(SRC, SRC, str(tmp_path))
         assert base is not new and base.transforms is not new.transforms

@@ -100,6 +100,13 @@ class TestMfun:
         assert r.returncode == 0
         assert r.stdout.split("\n")[1].startswith("3.0,0.0,")
 
+    @pytest.mark.parametrize("option, text", [("--lambda", "0.4,0.3"), ("--grid", "0:1:2,1:2:2")])
+    def test_a_nan_floor_is_a_parse_error(self, jhat20, option, text):
+        # x < nan is False: a NaN floor would switch the half-plane test off
+        r = run_cli("mfun", jhat20, option, text, "--floor", "nan")
+        assert r.returncode == 2
+        assert r.stdout == "" and r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+
     @pytest.mark.parametrize("re", ["0", repr(2**0.5)])
     def test_a_pole_is_a_precondition_error(self, tmp_path, re):
         # lambda = 0 zeroes a first-level pivot; sqrt(2) leaves a solve residual of 0.25
@@ -159,6 +166,13 @@ class TestIterate:
         r = run_cli("iterate", "zero", "--lambda", "0,2", "--n", "40")
         ratio = float(r.stderr.split("max contraction ratio: ")[1])
         assert f"max ratio {ratio:.6f} (bound 0.25)" in run_cli("verify", "contraction").stdout
+
+    def test_a_lambda_near_the_float_maximum_has_a_finite_residual(self):
+        # lam + sqrt(lam^2 - 4) overflows there; the fixed point is about -1/lam
+        r = run_cli("iterate", "zero", "--lambda", "1e308,1e308", "--n", "3")
+        assert r.returncode == 0
+        assert r.stderr.startswith("final residual: ")
+        assert 0.0 <= float(r.stderr.split("final residual: ")[1].split("\n")[0]) < 1e-300
 
     def test_one_step_has_no_ratio(self):
         r = run_cli("iterate", "zero", "--lambda", "0,2", "--n", "1")

@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -440,6 +441,18 @@ class TestStructure:
         for blocks in (J.a, J.b):
             with pytest.raises(ValueError, match="read-only"):
                 blocks[0, 0, 1] = 0.5
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_lambda_independent_stacks_are_read_only(self, d):
+        # the routes keep them for the life of J, as they keep a and b
+        J = random_jacobi(6, d, 5)
+        m_resolvent(J, 1j), m_cf(J, 1j)
+        cached = [name for name, attr in vars(BlockJacobi).items() if isinstance(attr, functools.cached_property)]
+        stacks = {name: getattr(J, name) for name in cached if isinstance(getattr(J, name), np.ndarray)}
+        assert {"_b_adj", "_cr_rows", "_cf_rhs", "_cf_b_adj", "_residual_rows"} <= set(stacks)
+        for name, stack in stacks.items():
+            with pytest.raises(ValueError, match="read-only"):
+                stack[(0,) * stack.ndim] = 0.5
 
     def test_json_round_trip(self):
         J = random_jacobi(5, 2, 4)

@@ -6,7 +6,7 @@ import pytest
 
 from nevtrans.errors import CutError
 from nevtrans.jacobi import quadrature_m0
-from nevtrans.specialfn import m0_gamma, m0_gammahat, sqrt_offcut
+from nevtrans.specialfn import CUT_TOL, m0_gamma, m0_gammahat, sqrt_offcut
 
 
 def random_offcut_points(seed, count, c, margin=1e-6):
@@ -40,6 +40,24 @@ class TestSqrtOffcut:
             sqrt_offcut(1.0 + 1e-13j, 1.0)
         with pytest.raises(CutError):  # one cut point fails the whole array
             sqrt_offcut(np.array([[2j, 1.5], [0.5, -1j]]), 1.0)
+
+    def test_scalar_and_array_cut_tests_agree_at_the_boundary(self):
+        # a scalar lam is tested in Python arithmetic, an array in numpy's; at +-c + i y the
+        # distance to the cut is exactly y, so the three offsets straddle CUT_TOL
+        offsets = [np.nextafter(CUT_TOL, 0.0), CUT_TOL, np.nextafter(CUT_TOL, 1.0)]
+        outcomes = []
+        for c in (1.0, 2.0):
+            for lam in [complex(re, s * y) for re in (-c, c) for s in (1, -1) for y in offsets]:
+                raised = []
+                for arg in (lam, np.array([lam])):
+                    try:
+                        sqrt_offcut(arg, c)
+                        raised.append(False)
+                    except CutError:
+                        raised.append(True)
+                assert raised[0] == raised[1], (lam, c)
+                outcomes.append(raised[0])
+        assert outcomes.count(True) == 8 and outcomes.count(False) == 16  # only the offset below CUT_TOL
 
     def test_negative_real_side(self):
         val = sqrt_offcut(-3.0 + 0j, 1.0)
@@ -136,3 +154,14 @@ class TestM0Gammahat:
                 z = mpmath.mpc(lam.real, lam.imag)
                 want = complex((-z + mpmath.sqrt(z - 2) * mpmath.sqrt(z + 2)) / 2)
                 assert abs(m0_gammahat(lam) - want) <= 1e-15 * abs(want), lam
+
+    def test_finite_near_the_float_maximum(self):
+        # lam + sqrt(lam^2 - 4) overflows there (NaN at 1e308 + 1e308i); m0 ~ -1/lam is subnormal
+        lams = [1e308 + 1e308j, -1e308 + 1e308j, 1e308 - 1e308j, 1e308 + 1j, 1e308j, -1.5e308 - 0.5j]
+        with mpmath.workdps(50):
+            for lam in lams:
+                z = mpmath.mpc(lam.real, lam.imag)
+                want = complex(-2 / (z + mpmath.sqrt(z - 2) * mpmath.sqrt(z + 2)))
+                got = m0_gammahat(lam)
+                assert got == m0_gammahat(np.array([lam]))[0]
+                assert abs(got - want) <= 1e-15 * abs(want), lam

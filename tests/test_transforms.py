@@ -15,7 +15,7 @@ from nevtrans.herglotz import (
     random_contraction_resolvent,
     random_nevanlinna,
 )
-from nevtrans.specialfn import m0_gamma, m0_gammahat
+from nevtrans.specialfn import CUT_TOL, m0_gamma, m0_gammahat
 from nevtrans.transforms import RESIDUAL_FLOOR, IterationTrace, gamma, gamma_hat, iterate_gamma_hat
 
 
@@ -61,6 +61,24 @@ class TestGamma:
         for lam in (1.0 + 1e-17j, -1.0 - 1e-13, -1.0 + 5e-13j):
             with pytest.raises(ValueError):
                 gamma(np.eye(1), lam)
+
+    def test_scalar_and_array_cut_tests_agree_at_the_boundary(self):
+        # a scalar lam is tested in Python arithmetic, an array in numpy's; +-1 + i y lies
+        # exactly y from +-1, so the imaginary offsets straddle CUT_TOL
+        ys = [t * CUT_TOL for t in (np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0))]
+        ys += [np.nextafter(CUT_TOL, 0.0), np.nextafter(CUT_TOL, 1.0)]
+        outcomes = []
+        for lam in [p + q for p in (-1.0, 1.0) for y in ys for q in (y, -y, 1j * y, -1j * y)]:
+            raised = []
+            for arg in (complex(lam), np.array([lam])):
+                try:
+                    gamma(np.full(np.shape(arg) + (1, 1), 2.0 + 0.5j), arg)
+                    raised.append(False)
+                except ValueError:
+                    raised.append(True)
+            assert raised[0] == raised[1], lam
+            outcomes.append(raised[0])
+        assert True in outcomes and False in outcomes
 
 
 class TestGammaHat:

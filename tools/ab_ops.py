@@ -15,8 +15,10 @@ alternates from one operation to the next and, for each operation, from one
 round to the next.  Every output goes through its operation's own check.
 
 Prints the median time of each operation on both trees and their ratio, the
-median round, and the count of failed checks; exits 1 when a check failed.
-It sizes a change; a gain is still claimed from alternating pairs of
+median round, the median and quartiles of the per-round ratio new/base, and
+the count of failed checks; exits 1 when a check failed.  Run with the same
+directory twice (an A/A run), the quartiles show the tool's own spread.  It
+sizes a change; a gain is still claimed from alternating pairs of
 ``perfbench/run.py`` runs.
 """
 
@@ -78,6 +80,13 @@ def _run_op(op):
         return dt, [f"{op.label}: check raised {type(exc).__name__}: {exc}"]
 
 
+def ratio_summary(base_rounds: list, new_rounds: list) -> str:
+    """The median and quartiles of the per-round ratios new/base, as one line."""
+    ratios = [n / b for b, n in zip(base_rounds, new_rounds)]
+    q = statistics.quantiles(ratios, n=4, method="inclusive") if len(ratios) > 1 else ratios * 3
+    return f"round ratio new/base: median {q[1]:.3f}, quartiles [{q[0]:.3f}, {q[2]:.3f}] over {len(ratios)} rounds"
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("base_src")
@@ -134,6 +143,7 @@ def main(argv=None) -> int:
     for label, base, new in rows:
         b, n = 1e3 * statistics.median(base), 1e3 * statistics.median(new)
         print(f"{label:<{width}}{b:>10.1f}{n:>10.1f}{n / b:>10.3f}")
+    print(ratio_summary(*rounds))
     print(f"failed checks: base {len(failures[0])}, new {len(failures[1])}")
     for side, name in enumerate(TREES):
         for message in failures[side][:5]:
