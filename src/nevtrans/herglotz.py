@@ -10,6 +10,7 @@ from __future__ import annotations
 import cmath
 import functools
 import json
+import sys
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -31,6 +32,8 @@ _POLE_TOL = 1e-12
 #: when |Re x| + |Im x| lies between _RECIP_SAFE and 1 / _RECIP_SAFE: for x = a + ib, |a| >= |b|
 #: (or the mirror image), it scales by 1 / (a + b r), r = b / a, whose modulus lies within [|a|, 2|a|]
 _RECIP_SAFE = 1e-300
+
+_FLOAT_MAX = sys.float_info.max
 
 
 def _hermitian(M: np.ndarray, tol: float = 1e-10) -> bool:
@@ -64,19 +67,42 @@ def _times_eye(x, d: int) -> np.ndarray:
     return x * _eye(d) if isinstance(x, complex) else np.multiply.outer(x, _eye(d))
 
 
+def _prescale(x):
+    """None when |Re x| + |Im x| is at most the largest float for every x; else the
+    powers of two, 0.25 where it exceeds it and 1.0 elsewhere, of x's shape.
+
+    Past that bound numpy's complex division overflows inside (1 / (1e308 + 1e308i)
+    flushes to zero) and its product with a broadcast x flags a spurious overflow.
+    A quarter of any finite x is clear of both, and scaling by a power of two is
+    exact but in the subnormal range.  A Python complex x is tested in Python
+    arithmetic, which rounds as numpy's does.
+    """
+    if isinstance(x, complex):
+        return 0.25 if abs(x.real) > _FLOAT_MAX - abs(x.imag) else None
+    near = np.abs(x.real) > _FLOAT_MAX - np.abs(x.imag)
+    return np.where(near, 0.25, 1.0) if near.any() else None
+
+
 def _solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """np.linalg.solve(A, B) on stacks of d x d blocks, 1 x 1 blocks by one division.
 
     This is the one place that inverts a 1 x 1 block.  The division is as
     silent as LAPACK about overflow, and an exactly zero pivot raises
-    LinAlgError as LAPACK does; d > 1 calls np.linalg.solve.
+    LinAlgError as LAPACK does; d > 1 calls np.linalg.solve.  A pivot past
+    _prescale's bound is divided out as a quarter of itself, so that
+    1 / (1e308 + 1e308i) is 5e-309 - 5e-309i, not zero.
     """
     if A.shape[-1] > 1:
         return np.linalg.solve(A, B)
     if not A.all():
         raise np.linalg.LinAlgError("Singular matrix")
+    with np.errstate(all="ignore", over="raise"):
+        try:
+            return B / A
+        except FloatingPointError:  # a huge pivot, or a quotient that overflows
+            s = _prescale(A)
     with np.errstate(all="ignore"):
-        return B / A
+        return B / A if s is None else B / (A * s) * s
 
 
 def _finite_inv(M: np.ndarray) -> np.ndarray:
@@ -358,8 +384,14 @@ def evaluate(F: RealizedFunction, lam) -> np.ndarray:
     lam = _as_complex(lam)
     if F.variant == "measure":
         # lam as a (1, 1) array even when scalar: numpy's loop for a scalar operand, with the
-        # same bits otherwise, flags a spurious overflow on a 1 x 1 B = 0 at |lam| near 1e308
-        affine = F.A + F.B * np.asarray(lam)[..., None, None]
+        # same bits otherwise, flags a spurious overflow on a 1 x 1 B = 0 at |lam| near 1e308;
+        # past _prescale's bound a d x d B takes a quarter of lam, and the product four times
+        s = _prescale(lam)
+        if s is None:
+            affine = F.A + F.B * np.asarray(lam)[..., None, None]
+        else:
+            s = np.asarray(s)[..., None, None]
+            affine = F.A + F.B * (np.asarray(lam)[..., None, None] * s) / s
         t = F.atom_t
         if not len(t):  # what _add_in_atom_order returns over no atoms
             return affine

@@ -1,15 +1,16 @@
 """Block Jacobi truncations and their m-functions.
 
 The m-function is the top-left d x d block of (J - lam I)^{-1}, computed two
-independent ways, each in ceil(log2 N) batched levels: block cyclic reduction
-of the block-tridiagonal system, and a pairwise composition of the
-continued-fraction (J-fraction) maps.  The two must agree; tests exploit this
-as a dual-route check.  Both solve their stacks of blocks through
-``herglotz._solve``, which divides when the blocks are 1 x 1 (d = 1) instead
-of calling LAPACK once per block.  A Kronecker matrix J = j (x) I_d, every
-block a scalar times I_d, is evaluated through its scalar chain j by both
-routes.  Each BlockJacobi builds the lambda-independent stacks of both routes
-once, at their first call.
+independent ways: by cyclic reduction of the tridiagonal system, and as the
+continued fraction (J-fraction).  The two must agree; tests exploit this as a
+dual-route check.  A scalar chain (d = 1) runs both on numbers: the J-fraction
+as its O(N) backward recursion, the reduction in ceil(log2 N) levels of
+elementwise operations on flat arrays.  A Kronecker matrix J = j (x) I_d,
+every block a scalar times I_d, is evaluated through its scalar chain j.
+Other block chains run block cyclic reduction and a pairwise composition of
+the J-fraction maps as Redheffer star products, each in ceil(log2 N) levels
+of batched d x d solves.  Each BlockJacobi builds the lambda-independent
+stacks of its routes once, at their first call.
 """
 
 from __future__ import annotations
@@ -40,8 +41,9 @@ class BlockJacobi:
     field-wise comparison of arrays has no single truth value.  The two arrays
     are made read-only, because the routes keep the Kronecker test of
     ``_scalar_chain`` and the lambda-independent stacks built from a and b
-    (``_b_adj``, ``_cr_rows``, ``_cf_rhs``, ``_cf_b_adj`` and
-    ``_residual_rows``, each read-only too) for the life of J.
+    for the life of J: ``_diag``, ``_couplings`` and ``_weights`` of a scalar
+    chain, and ``_b_adj``, ``_cr_rows``, ``_cf_rhs``, ``_cf_b_adj`` and
+    ``_residual_rows`` of a block chain, each read-only too.
     """
 
     a: np.ndarray
@@ -95,20 +97,36 @@ class BlockJacobi:
         return BlockJacobi(a=a.copy(), b=b.copy())
 
     @functools.cached_property
+    def _diag(self) -> np.ndarray:
+        """A scalar chain's (N,) diagonal a_k."""
+        return self.a[:, 0, 0]
+
+    @functools.cached_property
+    def _couplings(self) -> np.ndarray:
+        """A scalar chain's (2, N-1) couplings [-b_k^*; -b_k] in the rows of J - lam: of
+        row k + 1 to row k, and of row k to row k + 1, negated for the cyclic reduction."""
+        b = self.b[:, 0, 0]
+        return _read_only(-np.stack([b.conj(), b]))
+
+    @functools.cached_property
+    def _weights(self) -> np.ndarray:
+        """A scalar chain's (N-1,) J-fraction weights |b_k|^2: real, held as complex
+        numbers, because numpy divides two complex scalars faster than a real by a complex."""
+        b = self.b[:, 0, 0]
+        return _read_only((b.real * b.real + b.imag * b.imag).astype(complex))
+
+    @functools.cached_property
     def _b_adj(self) -> np.ndarray:
         """The (N-1, d, d) subdiagonal blocks b_k*."""
         return _read_only(np.swapaxes(self.b.conj(), -1, -2))
 
     @functools.cached_property
     def _cr_rows(self) -> np.ndarray:
-        """m_resolvent's first level, [L_k | U_k | R_k] = [b_{k-1}* | b_k | E0_k] with
-        b_{-1} = b_{N-1} = 0 and E0 = (I, 0, ..., 0): (N, d, 3d)."""
-        d, zero = self.d, np.zeros((1, self.d, self.d), dtype=complex)
-        return _read_only(np.concatenate([
-            np.concatenate([zero, self._b_adj]),
-            np.concatenate([self.b, zero]),
-            np.concatenate([_eye(d)[None], np.zeros((self.N - 1, d, d))]),
-        ], axis=-1))
+        """m_resolvent's first level, [L_k | U_k] = [b_{k-1}* | b_k] with
+        b_{-1} = b_{N-1} = 0: (N, d, 2d)."""
+        zero = np.zeros((1, self.d, self.d), dtype=complex)
+        return _read_only(np.concatenate(
+            [np.concatenate([zero, self._b_adj]), np.concatenate([self.b, zero])], axis=-1))
 
     @functools.cached_property
     def _cf_rhs(self) -> np.ndarray:
@@ -181,106 +199,155 @@ def _free_jacobi(d: int, N: int, b_divisors: list) -> BlockJacobi:
     return BlockJacobi.of(np.zeros((N, d, d), dtype=complex), eye / np.reshape(b_divisors, (-1, 1, 1)))
 
 
-def _through_scalar_chain(route):
-    """route, evaluating a Kronecker J = j (x) I_d as route(j, lam) (x) I_d.
+def _times_identity(m, d: int) -> np.ndarray:
+    """m I_d for values m of lam.shape, as a new lam.shape + (d, d) array: exactly m on
+    the diagonal and +0.0 off it."""
+    m = np.asarray(m)
+    out = np.zeros(m.shape + (d, d), dtype=complex)
+    out.reshape(m.shape + (d * d,))[..., ::d + 1] = m[..., None]
+    return out
 
-    route runs on j itself, not through its public name: a wrapper installed
-    on the module attribute sees one call per public call.  The result is
-    exactly m_j on the diagonal and +0.0 off it; the pole guard is j's.
+
+def _chain_reduction(j: BlockJacobi, lam):
+    """m_j(lam) of a d = 1 chain j by cyclic reduction on flat arrays, of lam.shape.
+
+    Row k of (j - lam) x = e_0 reads -l_k x_{k-1} + D_k x_k - u_k x_{k+1} = delta_k0,
+    with the couplings l_k = -b_{k-1}^* and u_k = -b_k of ``_couplings``.  Each
+    level solves the odd rows for x_o = alpha_o x_{o-1} + beta_o x_{o+1} and
+    leaves the even rows in the same form, half as many; the right-hand side
+    stays e_0 throughout.  Every operation is elementwise on lam.shape + (n,)
+    arrays, a scalar lam included, so an array lam gives the stacked calls' bits.
     """
-    @functools.wraps(route)
-    def reduced(J: BlockJacobi, lam) -> np.ndarray:
-        j = J._scalar_chain
-        if j is None:
-            return route(J, lam)
-        m = route(j, lam)
-        out = np.zeros(m.shape[:-2] + (J.d, J.d), dtype=complex)
-        diag = np.arange(J.d)
-        out[..., diag, diag] = m[..., 0, :]
-        return out
-    return reduced
+    lo, up = j._couplings
+    shifted = j._diag - np.asarray(lam)[..., None]  # D_k = a_k - lam
+    D, levels = shifted, []
+    with np.errstate(divide="raise", over="ignore", invalid="ignore"):
+        try:
+            while D.shape[-1] > 1:
+                n_odd, m = D.shape[-1] // 2, (D.shape[-1] - 1) // 2  # m: even rows after the first
+                r = 1 / D[..., 1::2]  # a zero pivot raises: divide is flagged only by a zero divisor
+                alpha, beta = lo[..., ::2] * r, up[..., 1::2] * r[..., :m]
+                levels.append((alpha, beta))
+                lo, up = lo[..., 1::2], up[..., ::2]  # the even rows' couplings to the odd rows
+                D = D[..., ::2].copy()
+                D[..., 1:] -= lo * beta
+                D[..., :n_odd] -= up * alpha
+                lo, up = lo * alpha[..., :m], up[..., :m] * beta
+            x = 1 / D
+        except FloatingPointError as exc:
+            raise PoleError(f"singular shift at lambda={lam}") from exc
+    for alpha, beta in reversed(levels):
+        # each odd row takes the even rows around it; the last one may have none after it
+        odd = alpha * x[..., :alpha.shape[-1]]
+        odd[..., :beta.shape[-1]] += beta * x[..., 1:]
+        x, even = np.empty(odd.shape[:-1] + (x.shape[-1] + odd.shape[-1],), dtype=complex), x
+        x[..., ::2], x[..., 1::2] = even, odd
+    # pole guard on the O(N) residual
+    lo, up = j._couplings
+    res = shifted * x
+    res[..., 1:] -= lo * x[..., :-1]
+    res[..., :-1] -= up * x[..., 1:]
+    res[..., 0] -= 1.0
+    res = np.max(np.abs(res))
+    if not res <= POLE_RESIDUAL_TOL:  # a NaN residual fails too
+        raise PoleError(f"solve residual {res:.3e}: lambda={lam} is near the truncation spectrum")
+    return x[..., 0]
 
 
-@_through_scalar_chain
+def _chain_fraction(j: BlockJacobi, lam):
+    """m_j(lam) of a d = 1 chain j by the J-fraction's backward recursion, of lam.shape.
+
+    It runs on the denominators y_k = 1/m_k: y_{N-1} = a_{N-1} - lam,
+    y_k = a_k - lam - |b_k|^2 / y_{k+1}, and m = 1/y_0, a subtraction and a
+    division per step.  A scalar lam runs on numpy complex scalars, an array
+    lam on arrays, through the same operations; numpy's scalar and array
+    divisions round alike, so an array lam gives the stacked calls' bits.
+    """
+    shifted = j._diag.reshape((j.N,) + (1,) * np.ndim(lam)) - lam  # a_k - lam, the chain's axis first
+    with np.errstate(divide="raise", over="ignore", invalid="ignore"):
+        try:
+            y = shifted[-1]
+            for c, w in zip(shifted[-2::-1], j._weights[::-1]):
+                y = c - w / y
+            m = 1 / y
+        except FloatingPointError as exc:  # divide is flagged only by a zero denominator
+            raise PoleError(f"singular shift in the J-fraction at lambda={lam}") from exc
+    if not np.isfinite(m).all():
+        raise PoleError(f"the J-fraction is not finite at lambda={lam}")
+    return m
+
+
 def m_resolvent(J: BlockJacobi, lam) -> np.ndarray:
-    """Top-left block of (J - lam I)^{-1} by block cyclic reduction, ceil(log2 N) levels.
+    """Top-left block of (J - lam I)^{-1} by cyclic reduction, ceil(log2 N) levels.
 
-    Row k of (J - lam) X = E0 reads L_k X_{k-1} + D_k X_k + U_k X_{k+1} = R_k.
-    Each level eliminates the odd rows in one batched solve and leaves a
-    block-tridiagonal system in the even rows, half as long; back-substitution
-    then recovers every X_k for the residual guard.  No pivot can blow up:
-    each D_o is a diagonal block of a Schur complement of J - lam, hence a
-    Schur complement of J - lam itself.  Its imaginary part (D - D^*)/2i is
-    -Im lam I minus a positive semidefinite term for Im lam > 0 (plus one for
-    Im lam < 0), so ||D_o^{-1}|| <= 1/|Im lam|.  For d = 1 the pivots are
-    divided out, one elementwise division per level.  For d > 1 each level's
-    substitution, and the residual, make one product per shared right operand
-    with the left operands stacked along rows: every entry is still the same
-    d-term sum.  Scalar chains keep one product per neighbour, which costs
-    less there.
+    Row k of (J - lam) X = E0 reads L_k X_{k-1} + D_k X_k + U_k X_{k+1} = E0_k.
+    Each level eliminates the odd rows and leaves a block-tridiagonal system
+    in the even rows, half as long, whose right-hand side is still E0;
+    back-substitution then recovers every X_k for the residual guard.  No
+    pivot can blow up: each D_o is a diagonal block of a Schur complement of
+    J - lam, hence a Schur complement of J - lam itself.  Its imaginary part
+    (D - D^*)/2i is -Im lam I minus a positive semidefinite term for
+    Im lam > 0 (plus one for Im lam < 0), so ||D_o^{-1}|| <= 1/|Im lam|.
 
-    lam may have any shape; the result has shape lam.shape + (d, d).  A
-    Kronecker J = j (x) I_d is reduced to j first.  The levels hold
-    O(points * N * d^2) numbers.  A real lam at which a pivot is
-    singular (a_k - lam for an odd k, on the first level) raises PoleError
-    even off the spectrum.  The residual guard is what certifies the value:
-    it also raises at a pole that no pivot shows as singular.
+    A scalar chain (d = 1), and a Kronecker J = j (x) I_d through its chain j,
+    runs on flat arrays of numbers, one elementwise operation per step of a
+    level.  Block chains solve each level's odd rows in one batched solve,
+    and make one product per shared right operand with the left operands
+    stacked along rows, for the substitution and for the residual: every
+    entry is still the same d-term sum.
+
+    lam may have any shape; the result has shape lam.shape + (d, d).  The
+    levels hold O(points * N * d^2) numbers.  A real lam at which a pivot is
+    exactly singular (a_k - lam for an odd k, on the first level) raises
+    PoleError even off the spectrum.  The residual guard is what certifies
+    the value: it also raises at a pole that no pivot shows as singular.
     """
     lam = _as_complex(lam)
+    j = J if J.d == 1 else J._scalar_chain
+    if j is not None:
+        return _times_identity(_chain_reduction(j, lam), J.d)
     d, lead = J.d, np.shape(lam)
-    shift = _times_eye(lam, d)[..., None, :, :]
-    # C_k = [L_k | U_k | R_k]; lam's axes as ones, since numpy < 2 reads a solve
+    # C_k = [L_k | U_k]; lam's axes as ones, since numpy < 2 reads a solve
     # right-hand side with one axis fewer than the matrices as a stack of vectors
     C = J._cr_rows.reshape((1,) * len(lead) + J._cr_rows.shape)
-    if d > 1:  # [a_k - lam; b_k*; b_{k-1}], for the residual
-        rows = np.broadcast_to(J._residual_rows, lead + J._residual_rows.shape).copy()
-        rows[..., :d, :] -= shift
-    else:
-        rows = J.a - shift
+    rows = np.broadcast_to(J._residual_rows, lead + J._residual_rows.shape).copy()  # [a_k - lam; b_k*; b_{k-1}]
+    rows[..., :d, :] -= _times_eye(lam, d)[..., None, :, :]
     D = rows[..., :d, :]  # the first pivots, a_k - lam
     levels = []
     try:
         while D.shape[-3] > 1:
-            # odd rows: X_o = rho_o - alpha_o X_{o-1} - beta_o X_{o+1}, [alpha | beta | rho] = D_o^{-1} C_o
-            abr = _solve(D[..., 1::2, :, :], C[..., 1::2, :, :])
-            levels.append(abr)
+            # odd rows: X_o = -alpha_o X_{o-1} - beta_o X_{o+1}, [alpha | beta] = D_o^{-1} C_o
+            ab = _solve(D[..., 1::2, :, :], C[..., 1::2, :, :])
+            levels.append(ab)
             # substitute them into the even rows; the odd row before row 0, and
             # after a last even row, is zero (L_0 = 0 and U_{n-1} = 0 anyway)
-            pad = np.zeros(abr.shape[:-3] + (1, d, 3 * d), dtype=complex)
-            odd = np.concatenate([pad, abr] + [pad] * (D.shape[-3] % 2), axis=-3)
+            pad = np.zeros(ab.shape[:-3] + (1, d, 2 * d), dtype=complex)
+            odd = np.concatenate([pad, ab] + [pad] * (D.shape[-3] % 2), axis=-3)
             C = C[..., ::2, :, :]
-            if d > 1:
-                # one product per odd slot j, [U_{j-1}; L_j] @ odd_j, for the even rows
-                # on either side of it (zero blocks past the ends)
-                W = np.zeros(odd.shape[:-2] + (2 * d, d), dtype=complex)
-                W[..., 1:, :d, :], W[..., :-1, d:, :] = C[..., d:2 * d], C[..., :d]
-                Q = W @ odd
-                left, right = Q[..., :-1, d:, :], Q[..., 1:, :d, :]
-            else:
-                left, right = C[..., :d] @ odd[..., :-1, :, :], C[..., d:2 * d] @ odd[..., 1:, :, :]
-            D = D[..., ::2, :, :] - left[..., d:2 * d] - right[..., :d]
-            R = C[..., 2 * d:] - left[..., 2 * d:] - right[..., 2 * d:]
-            C = np.concatenate([-left[..., :d], -right[..., d:2 * d], R], axis=-1)
-        X = _solve(D, C[..., 2 * d:])
+            # one product per odd slot j, [U_{j-1}; L_j] @ odd_j, for the even rows
+            # on either side of it (zero blocks past the ends)
+            W = np.zeros(odd.shape[:-2] + (2 * d, d), dtype=complex)
+            W[..., 1:, :d, :], W[..., :-1, d:, :] = C[..., d:], C[..., :d]
+            Q = W @ odd
+            left, right = Q[..., :-1, d:, :], Q[..., 1:, :d, :]
+            D = D[..., ::2, :, :] - left[..., d:] - right[..., :d]
+            C = np.concatenate([-left[..., :d], -right[..., d:]], axis=-1)
+        X = _solve(D, _eye(d).reshape((1,) * (D.ndim - 2) + (d, d)))
     except np.linalg.LinAlgError as exc:
         raise PoleError(f"singular shift at lambda={lam}") from exc
-    for abr in reversed(levels):
+    for ab in reversed(levels):
         # the even rows are known: each odd row takes the even rows around it (zero past the end)
-        n_odd = abr.shape[-3]
+        n_odd = ab.shape[-3]
         ends = np.concatenate([X, np.zeros(X.shape[:-3] + (1, d, d), dtype=complex)], axis=-3)[..., :n_odd + 1, :, :]
-        X_odd = abr[..., 2 * d:] - abr[..., :2 * d] @ np.concatenate([ends[..., :-1, :, :], ends[..., 1:, :, :]], -2)
+        X_odd = -(ab @ np.concatenate([ends[..., :-1, :, :], ends[..., 1:, :, :]], -2))
         X, X_even = np.empty(X.shape[:-3] + (X.shape[-3] + n_odd, d, d), dtype=complex), X
         X[..., ::2, :, :], X[..., 1::2, :, :] = X_even, X_odd
-    # pole guard on the O(N) block residual: a dense one would build the N d x N d matrix
+    # pole guard on the O(N) block residual: a dense one would build the N d x N d matrix;
+    # X_k's terms in rows k, k + 1 and k - 1 come from one product
     P = rows @ X
-    if d > 1:  # X_k's terms in rows k, k + 1 and k - 1 from one product
-        r = P[..., :d, :]
-        r[..., 1:, :, :] += P[..., :-1, d:2 * d, :]
-        r[..., :-1, :, :] += P[..., 1:, 2 * d:, :]
-    else:
-        r = P
-        r[..., 1:, :, :] += J._b_adj @ X[..., :-1, :, :]
-        r[..., :-1, :, :] += J.b @ X[..., 1:, :, :]
+    r = P[..., :d, :]
+    r[..., 1:, :, :] += P[..., :-1, d:2 * d, :]
+    r[..., :-1, :, :] += P[..., 1:, 2 * d:, :]
     r[..., 0, :, :] -= _eye(d)
     res = np.max(np.linalg.norm(r, axis=(-2, -1)))
     if not res <= POLE_RESIDUAL_TOL * np.sqrt(d):  # a NaN residual fails too
@@ -288,32 +355,36 @@ def m_resolvent(J: BlockJacobi, lam) -> np.ndarray:
     return X[..., 0, :, :].copy()  # a view would keep all N blocks of X alive
 
 
-@_through_scalar_chain
 def m_cf(J: BlockJacobi, lam) -> np.ndarray:
     """Finite J-fraction m = f_0(f_1(... f_{N-1}(0))), f_k(w) = (a_k - lam - b_k w b_k^*)^{-1}.
 
-    That is m_N = (a_{N-1} - lam)^{-1}, m_k = (a_k - lam - b_k m_{k+1} b_k^*)^{-1},
-    with the maps composed pairwise in ceil(log2 N) levels.  Each map is held
-    in Redheffer star form, w -> S11 + S12 w (I - S22 w)^{-1} S21, with
+    That is m_N = (a_{N-1} - lam)^{-1}, m_k = (a_k - lam - b_k m_{k+1} b_k^*)^{-1}.
+    A scalar chain (d = 1), and a Kronecker J = j (x) I_d through its chain j,
+    runs this backward recursion itself, O(N) steps on numbers.  Block chains
+    compose the maps pairwise in ceil(log2 N) levels, each map held in
+    Redheffer star form, w -> S11 + S12 w (I - S22 w)^{-1} S21, with
     S11 = c^{-1}, S12 = c^{-1} b_k, S21 = b_k^* c^{-1}, S22 = b_k^* c^{-1} b_k
     and c = a_k - lam.  b_{N-1} = 0 makes the last map the constant c^{-1},
     so m is S11 of the whole composition.  The blocks of a composition are
     corner blocks of the resolvent of its stretch of the chain (times b), so
     they stay bounded, where a product of 2d x 2d transfer matrices loses
-    rank for d > 1.  Equals m_resolvent exactly in exact arithmetic.  For
-    d = 1 the leaves and merges divide instead of calling LAPACK.  A merge
-    makes one product per shared right operand, the left operands stacked
-    along rows.
+    rank.  A merge makes one product per shared right operand, the left
+    operands stacked along rows.  Equals m_resolvent exactly in exact
+    arithmetic.
 
-    lam may have any shape; the result has shape lam.shape + (d, d).  A
-    Kronecker J = j (x) I_d is reduced to j first.  The tree holds
-    O(points * N * d^2) numbers, a stack of N (2d, 2d) blocks per point and
-    its temporaries.  A real lam at which some a_k - lam is
-    singular raises PoleError even where the fraction itself is finite.
-    There is no residual guard: at a pole that rounding leaves merely
-    near-singular it returns a huge finite value where m_resolvent raises.
+    lam may have any shape; the result has shape lam.shape + (d, d).  The
+    tree holds O(points * N * d^2) numbers, a stack of N (2d, 2d) blocks per
+    point and its temporaries; the recursion O(points * N).  A real lam at
+    which a denominator is exactly singular (a scalar chain's
+    a_k - lam - |b_k|^2 m_{k+1}, or a block chain's a_k - lam) raises
+    PoleError even where the fraction itself is finite.  There is no
+    residual guard: at a pole that rounding leaves merely near-singular it
+    returns a huge finite value where m_resolvent raises.
     """
     lam = _as_complex(lam)
+    j = J if J.d == 1 else J._scalar_chain
+    if j is not None:
+        return _times_identity(_chain_fraction(j, lam), J.d)
     d, lead = J.d, np.shape(lam)
     # [S11 | S12] = c^{-1} [I | b] and [S21 | S22] = b^* [S11 | S12]; the
     # right-hand side carries lam's axes as ones, as in m_resolvent

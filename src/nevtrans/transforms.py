@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .herglotz import RealizedFunction, _as_complex, _finite_inv, _finite_recip, _times_eye, evaluate
+from .herglotz import RealizedFunction, _as_complex, _finite_inv, _finite_recip, _prescale, _times_eye, evaluate
 from .specialfn import CUT_TOL, m0_gammahat
 
 #: condition number above which gamma emits an ill-conditioning warning
@@ -56,10 +56,21 @@ def gamma(Mval: np.ndarray, lam) -> np.ndarray:
 
 
 def gamma_hat(Mval: np.ndarray, lam) -> np.ndarray:
-    """Value of -(M + lam I)^{-1}; LinAlgError at a singular shift signals a non-Nevanlinna input."""
+    """Value of -(M + lam I)^{-1}; LinAlgError at a singular shift signals a non-Nevanlinna input.
+
+    Where lam is past herglotz._prescale's bound the value is Gamma_hat(M/4, lam/4)/4,
+    exact in powers of two: M + lam I would overflow inside the division and inside
+    LAPACK, which both flush -(lam I)^{-1} to zero at lam = 1e308 + 1e308i.  One
+    1 x 1 value at a scalar lam needs no test: its reciprocal takes a quarter of
+    M + lam itself, with the same bits.
+    """
     Mval, lam = np.atleast_2d(np.asarray(Mval, dtype=complex)), _as_complex(lam)
     if Mval.shape == (1, 1) and isinstance(lam, complex):
         return (-_finite_recip(Mval[0, 0] + lam))[None, None]
+    s = _prescale(lam)
+    if s is not None:
+        s_ = np.asarray(s)[..., None, None]
+        return gamma_hat(Mval * s_, lam * s) * s_
     return -_finite_inv(Mval + _times_eye(lam, Mval.shape[-1]))
 
 

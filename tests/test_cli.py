@@ -174,6 +174,18 @@ class TestIterate:
         assert r.stderr.startswith("final residual: ")
         assert 0.0 <= float(r.stderr.split("final residual: ")[1].split("\n")[0]) < 1e-300
 
+    @pytest.mark.parametrize("dim", ["1", "3"])
+    def test_a_lambda_near_the_float_maximum_iterates_without_a_warning(self, dim):
+        # the iterates are -(1 - i)/2e308, which numpy's division and LAPACK flushed to zero,
+        # and the d x d products with lam flagged spurious overflows; a fresh interpreter shows
+        # every warning on stderr
+        args = ["iterate", "zero", "--lambda", "1e308,1e308", "--n", "2", "--dim", dim]
+        r = subprocess.run([sys.executable, "-m", "nevtrans.cli", *args], capture_output=True, text=True)
+        assert r.returncode == 0
+        assert [line.split(":")[0] for line in r.stderr.splitlines()] == ["final residual", "max contraction ratio"]
+        rows = [line.split(",") for line in r.stdout.splitlines()[1:]]
+        assert [(float(row[1]), float(row[2])) for row in rows] == [(-5e-309, 5e-309)] * 2
+
     def test_one_step_has_no_ratio(self):
         r = run_cli("iterate", "zero", "--lambda", "0,2", "--n", "1")
         assert r.returncode == 0

@@ -176,6 +176,16 @@ class TestReductions:
                 assert got.shape == (d, d)
                 assert np.max(np.abs(got - want)) <= route_tol(want, lam), route.__name__
 
+    @pytest.mark.parametrize("N", [127, 128, 129, 255, 256, 257, 300])
+    def test_long_scalar_chains_match_dense_eigendecomposition(self, N):
+        # d = 1 runs on flat arrays: the recursion over N steps, the reduction over 7 to 9 levels
+        J = random_jacobi(N, 1, N)
+        for im in (1e-3, -1e-3, 1.0, -1.0):
+            lam = complex(0.37, im)
+            want = dense_m(J, lam)
+            for route in (m_resolvent, m_cf):
+                assert np.max(np.abs(route(J, lam) - want)) <= route_tol(want, lam), route.__name__
+
     def test_pole_of_an_odd_length_chain(self):
         J = build_Jhat0(1, 3)  # eigenvalues -sqrt(2), 0, sqrt(2)
         for lam in (0.0, np.array([2j, 0.0, -1j])):
@@ -184,13 +194,18 @@ class TestReductions:
                     route(J, lam)
 
     def test_exactly_singular_pivot_raises_without_a_warning(self):
-        # a_1 - lam = 0 is a first-level pivot of the cyclic reduction and a leaf of the star tree
         J = BlockJacobi.of([0.0, 1.0, 0.0], [1.0, 1.0])  # eigenvalues -1, 0, 2
-        for route in (m_resolvent, m_cf):
+        # lam = 1, off the spectrum: a_1 - lam = 0 is a first-level pivot of the cyclic
+        # reduction, but no denominator of the J-fraction's backward recursion
+        assert m_cf(J, 1.0)[0, 0] == -0.5
+        assert abs(dense_m(J, 1.0)[0, 0] + 0.5) < 1e-15
+        # m_resolvent still meets that pivot; at lam = 0, an eigenvalue, a_2 - lam = 0 is
+        # the recursion's first denominator
+        for route, lam in ((m_resolvent, 1.0), (m_cf, 0.0), (m_cf, np.array([2j, 0.0]))):
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
                 with pytest.raises(PoleError, match="singular shift"):
-                    route(J, 1.0)
+                    route(J, lam)
 
     def test_scalar_solve_matches_lapack(self):
         # 1 x 1 blocks are divided, not passed to LAPACK: the same x to a few ulps of |x|
@@ -214,10 +229,10 @@ class TestReductions:
 
     def test_results_do_not_keep_the_reduction_alive(self):
         # a view into the levels would hold O(N d^2) numbers per returned d x d block
-        J = random_jacobi(3, 2, 64)
-        for lam in (1j, np.array([1j, -2j])):
-            for route in (m_resolvent, m_cf):
-                assert route(J, lam).base is None
+        for J in (random_jacobi(3, 2, 64), random_jacobi(3, 1, 64), build_Jhat0(3, 64)):
+            for lam in (1j, np.array([1j, -2j])):
+                for route in (m_resolvent, m_cf):
+                    assert route(J, lam).base is None
 
     def test_solve_right_hand_sides_have_the_matrices_ndim(self, monkeypatch):
         # numpy < 2 reads a right-hand side with one axis fewer than the
@@ -275,6 +290,39 @@ def kronecker_and_lambda(draw):
     shape = draw(st.sampled_from([(), (3,), (2, 2)]))
     lam = rng.uniform(-4, 4, shape) + 1j * rng.uniform(0.01, 3, shape) * rng.choice([-1, 1], shape)
     return alpha, beta, d, complex(lam) if shape == () else lam
+
+
+@st.composite
+def long_chain_and_lambdas(draw):
+    """A scalar chain of N <= 300 (real or complex beta_k), a Kronecker dimension d in {1, 2, 3},
+    and an array of lam off the real axis."""
+    N, d = draw(st.integers(1, 300)), draw(st.sampled_from([1, 2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    alpha = rng.uniform(-2, 2, N)
+    beta = rng.uniform(0.2, 2, N - 1) * rng.choice([-1.0, 1.0], N - 1)
+    if draw(st.booleans()):
+        beta = beta * np.exp(1j * rng.uniform(0, 2 * np.pi, N - 1))
+    shape = draw(st.sampled_from([(1,), (4,), (2, 3)]))
+    lam = rng.uniform(-4, 4, shape) + 1j * rng.uniform(0.01, 3, shape) * rng.choice([-1, 1], shape)
+    return alpha, beta, d, lam
+
+
+@settings(max_examples=30)
+@given(long_chain_and_lambdas())
+def test_scalar_chain_routes_over_many_levels(case):
+    """An array lam gives the bits of the scalar calls, stacked, and each value is the dense one."""
+    alpha, beta, d, lam = case
+    J = kronecker(alpha, beta, d)
+    w, V = np.linalg.eigh(BlockJacobi.of(alpha, beta).dense())  # dense_m of the scalar chain, for every lam
+    for route in (m_resolvent, m_cf):
+        got = route(J, lam)
+        assert got.shape == lam.shape + (d, d)
+        stacked = np.array([route(J, complex(one)) for one in lam.ravel()]).reshape(got.shape)
+        assert np.array_equal(got, stacked), route.__name__
+        for one, M in zip(lam.ravel(), got.reshape(-1, d, d)):
+            want = np.sum(np.abs(V[0]) ** 2 / (w - one))
+            assert np.array_equal(M, M[0, 0] * np.eye(d))
+            assert abs(M[0, 0] - want) <= route_tol(want, one), route.__name__
 
 
 class TestKroneckerReduction:
@@ -346,10 +394,10 @@ class TestKroneckerReduction:
                 return route(J, lam)
 
             monkeypatch.setattr(jacobi, name, spy)
-        for J in (build_Jhat0(3, 8), build_J0(2, 8), random_jacobi(1, 2, 8)):
+        for J in (build_Jhat0(3, 8), build_J0(2, 8), random_jacobi(1, 2, 8), build_Jhat0(1, 8)):
             jacobi.m_resolvent(J, 1j)
             jacobi.m_cf(J, np.array([1j, -2j]))
-        assert seen == ["m_resolvent", "m_cf"] * 3
+        assert seen == ["m_resolvent", "m_cf"] * 4
 
 
 class TestTruncationConvergence:
@@ -449,7 +497,8 @@ class TestStructure:
         m_resolvent(J, 1j), m_cf(J, 1j)
         cached = [name for name, attr in vars(BlockJacobi).items() if isinstance(attr, functools.cached_property)]
         stacks = {name: getattr(J, name) for name in cached if isinstance(getattr(J, name), np.ndarray)}
-        assert {"_b_adj", "_cr_rows", "_cf_rhs", "_cf_b_adj", "_residual_rows"} <= set(stacks)
+        used = {"_diag", "_couplings", "_weights"} if d == 1 else {"_b_adj", "_cr_rows", "_cf_rhs", "_cf_b_adj", "_residual_rows"}
+        assert used <= set(stacks)
         for name, stack in stacks.items():
             with pytest.raises(ValueError, match="read-only"):
                 stack[(0,) * stack.ndim] = 0.5

@@ -133,6 +133,22 @@ class TestGammaHat:
                 want = -1 / (mpmath.mpc(Mk[0, 0]) + mpmath.mpc(lam))
                 assert abs(mpmath.mpc(g[0, 0]) - want) <= 4e-16 * abs(want)
 
+    def test_a_lambda_near_the_float_maximum_is_prescaled(self, stacked):
+        # |Re x| + |Im x| overflowed inside numpy's division and LAPACK, which flushed
+        # -(lam I)^{-1} = -(1 - i)/2e308 to zero at lam = 1e308 + 1e308i
+        lams = np.array([[1e308 + 1e308j, -1e308 + 1e308j], [-1.5e308 - 5e307j, 0.5 + 2j]])
+        with warnings.catch_warnings(), mpmath.workdps(30):
+            warnings.simplefilter("error")
+            for d in (1, 3):
+                assert np.array_equal(gamma_hat(np.zeros((d, d)), 1e308 + 1e308j), (-5e-309 + 5e-309j) * np.eye(d))
+                got = gamma_hat(np.zeros(lams.shape + (d, d)), lams)
+                assert np.array_equal(got, stacked(lambda lam: gamma_hat(np.zeros((d, d)), lam), lams))
+                for lam, g in zip(lams.ravel(), got.reshape(-1, d, d)):
+                    want = complex(-1 / mpmath.mpc(lam))
+                    assert abs(g[0, 0] - want) <= 4e-16 * abs(want) + 1e-323  # a subnormal's last place
+            # a huge 1 x 1 value at a moderate lam: the division takes a quarter of M + lam
+            assert gamma_hat(np.array([[1e308 + 1e308j]]), 0.5j)[0, 0] == -5e-309 + 5e-309j
+
     def test_one_by_one_values_call_no_lapack_inverse_or_svd(self, monkeypatch):
         # a 1 x 1 value is inverted by a division; np.linalg.norm(., 2) is a batched SVD, and
         # evaluate's Frobenius-norm residual guard is not counted
