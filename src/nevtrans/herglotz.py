@@ -83,34 +83,28 @@ def _prescale(x):
     return np.where(near, 0.25, 1.0) if near.any() else None
 
 
-def _solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """np.linalg.solve(A, B) on stacks of d x d blocks, 1 x 1 blocks by one division.
-
-    This is the one place that inverts a 1 x 1 block.  The division is as
-    silent as LAPACK about overflow, and an exactly zero pivot raises
-    LinAlgError as LAPACK does; d > 1 calls np.linalg.solve.  A pivot past
-    _prescale's bound is divided out as a quarter of itself, so that
-    1 / (1e308 + 1e308i) is 5e-309 - 5e-309i, not zero.
-    """
-    if A.shape[-1] > 1:
-        return np.linalg.solve(A, B)
-    if not A.all():
-        raise np.linalg.LinAlgError("Singular matrix")
-    with np.errstate(all="ignore", over="raise"):
-        try:
-            return B / A
-        except FloatingPointError:  # a huge pivot, or a quotient that overflows
-            s = _prescale(A)
-    with np.errstate(all="ignore"):
-        return B / A if s is None else B / (A * s) * s
-
-
 def _finite_inv(M: np.ndarray) -> np.ndarray:
-    """M^{-1} for a stack of d x d matrices, as _solve(M, I); raises LinAlgError when
-    M is singular or the inverse is not finite.  For d > 1 these are the bits of
-    np.linalg.inv, which solves against I itself."""
-    # I with M's ndim: numpy < 2 reads a right-hand side with one axis fewer as a stack of vectors
-    inv = _solve(M, _eye(M.shape[-1]).reshape((1,) * (M.ndim - 2) + M.shape[-2:]))
+    """M^{-1} for a stack of d x d matrices; raises LinAlgError when M is singular or
+    the inverse is not finite.
+
+    For d > 1 it solves against I, which gives the bits of np.linalg.inv.  A
+    1 x 1 M is inverted by one division, never by LAPACK, and an exactly zero
+    one raises as LAPACK does.  An M past _prescale's bound is divided out as
+    a quarter of itself, so that 1 / (1e308 + 1e308i) is 5e-309 - 5e-309i, not zero.
+    """
+    if M.shape[-1] > 1:
+        # I with M's ndim: numpy < 2 reads a right-hand side with one axis fewer as a stack of vectors
+        inv = np.linalg.solve(M, _eye(M.shape[-1]).reshape((1,) * (M.ndim - 2) + M.shape[-2:]))
+    elif not M.all():
+        raise np.linalg.LinAlgError("Singular matrix")
+    else:
+        with np.errstate(all="ignore", over="raise"):
+            try:
+                inv = 1 / M
+            except FloatingPointError:  # a huge M, or a tiny one whose reciprocal overflows
+                with np.errstate(over="ignore"):
+                    s = _prescale(M)
+                    inv = 1 / M if s is None else 1 / (M * s) * s
     if not np.isfinite(inv).all():
         raise np.linalg.LinAlgError("numerically singular matrix: the inverse is not finite")
     return inv

@@ -10,20 +10,23 @@ every block a scalar times I_d, is evaluated through its scalar chain j.
 Other block chains run block cyclic reduction and a pairwise composition of
 the J-fraction maps as Redheffer star products, each in ceil(log2 N) levels
 of batched d x d solves.  Each BlockJacobi builds the lambda-independent
-stacks of its routes once, at their first call.
+stacks of its routes once, at their first call.  The two public routes own
+the pole policy; their four private cores only compute, the reductions
+returning their residual with the value.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CutError, PoleError
 from .herglotz import (
-    POLE_RESIDUAL_TOL, _as_complex, _eye, _hermitian, _matrix_from_json, _matrix_to_json, _solve, _times_eye,
+    POLE_RESIDUAL_TOL, _as_complex, _eye, _hermitian, _matrix_from_json, _matrix_to_json, _prescale, _times_eye,
 )
 
 
@@ -209,7 +212,8 @@ def _times_identity(m, d: int) -> np.ndarray:
 
 
 def _chain_reduction(j: BlockJacobi, lam):
-    """m_j(lam) of a d = 1 chain j by cyclic reduction on flat arrays, of lam.shape.
+    """m_j(lam) of a d = 1 chain j by cyclic reduction on flat arrays, of lam.shape,
+    and the largest modulus of its O(N) residual; a zero pivot raises FloatingPointError.
 
     Row k of (j - lam) x = e_0 reads -l_k x_{k-1} + D_k x_k - u_k x_{k+1} = delta_k0,
     with the couplings l_k = -b_{k-1}^* and u_k = -b_k of ``_couplings``.  Each
@@ -222,40 +226,34 @@ def _chain_reduction(j: BlockJacobi, lam):
     shifted = j._diag - np.asarray(lam)[..., None]  # D_k = a_k - lam
     D, levels = shifted, []
     with np.errstate(divide="raise", over="ignore", invalid="ignore"):
-        try:
-            while D.shape[-1] > 1:
-                n_odd, m = D.shape[-1] // 2, (D.shape[-1] - 1) // 2  # m: even rows after the first
-                r = 1 / D[..., 1::2]  # a zero pivot raises: divide is flagged only by a zero divisor
-                alpha, beta = lo[..., ::2] * r, up[..., 1::2] * r[..., :m]
-                levels.append((alpha, beta))
-                lo, up = lo[..., 1::2], up[..., ::2]  # the even rows' couplings to the odd rows
-                D = D[..., ::2].copy()
-                D[..., 1:] -= lo * beta
-                D[..., :n_odd] -= up * alpha
-                lo, up = lo * alpha[..., :m], up[..., :m] * beta
-            x = 1 / D
-        except FloatingPointError as exc:
-            raise PoleError(f"singular shift at lambda={lam}") from exc
+        while D.shape[-1] > 1:
+            n_odd, m = D.shape[-1] // 2, (D.shape[-1] - 1) // 2  # m: even rows after the first
+            r = 1 / D[..., 1::2]  # a zero pivot raises: divide is flagged only by a zero divisor
+            alpha, beta = lo[..., ::2] * r, up[..., 1::2] * r[..., :m]
+            levels.append((alpha, beta))
+            lo, up = lo[..., 1::2], up[..., ::2]  # the even rows' couplings to the odd rows
+            D = D[..., ::2].copy()
+            D[..., 1:] -= lo * beta
+            D[..., :n_odd] -= up * alpha
+            lo, up = lo * alpha[..., :m], up[..., :m] * beta
+        x = 1 / D
     for alpha, beta in reversed(levels):
         # each odd row takes the even rows around it; the last one may have none after it
         odd = alpha * x[..., :alpha.shape[-1]]
         odd[..., :beta.shape[-1]] += beta * x[..., 1:]
         x, even = np.empty(odd.shape[:-1] + (x.shape[-1] + odd.shape[-1],), dtype=complex), x
         x[..., ::2], x[..., 1::2] = even, odd
-    # pole guard on the O(N) residual
     lo, up = j._couplings
     res = shifted * x
     res[..., 1:] -= lo * x[..., :-1]
     res[..., :-1] -= up * x[..., 1:]
     res[..., 0] -= 1.0
-    res = np.max(np.abs(res))
-    if not res <= POLE_RESIDUAL_TOL:  # a NaN residual fails too
-        raise PoleError(f"solve residual {res:.3e}: lambda={lam} is near the truncation spectrum")
-    return x[..., 0]
+    return x[..., 0], np.max(np.abs(res))
 
 
 def _chain_fraction(j: BlockJacobi, lam):
-    """m_j(lam) of a d = 1 chain j by the J-fraction's backward recursion, of lam.shape.
+    """m_j(lam) of a d = 1 chain j by the J-fraction's backward recursion, of
+    lam.shape; a zero denominator raises FloatingPointError.
 
     It runs on the denominators y_k = 1/m_k: y_{N-1} = a_{N-1} - lam,
     y_k = a_k - lam - |b_k|^2 / y_{k+1}, and m = 1/y_0, a subtraction and a
@@ -264,48 +262,25 @@ def _chain_fraction(j: BlockJacobi, lam):
     divisions round alike, so an array lam gives the stacked calls' bits.
     """
     shifted = j._diag.reshape((j.N,) + (1,) * np.ndim(lam)) - lam  # a_k - lam, the chain's axis first
-    with np.errstate(divide="raise", over="ignore", invalid="ignore"):
-        try:
-            y = shifted[-1]
-            for c, w in zip(shifted[-2::-1], j._weights[::-1]):
-                y = c - w / y
-            m = 1 / y
-        except FloatingPointError as exc:  # divide is flagged only by a zero denominator
-            raise PoleError(f"singular shift in the J-fraction at lambda={lam}") from exc
-    if not np.isfinite(m).all():
-        raise PoleError(f"the J-fraction is not finite at lambda={lam}")
-    return m
+    with np.errstate(divide="raise", over="ignore", invalid="ignore"):  # divide: only a zero denominator
+        y = shifted[-1]
+        for c, w in zip(shifted[-2::-1], j._weights[::-1]):
+            y = c - w / y
+        return 1 / y
 
 
-def m_resolvent(J: BlockJacobi, lam) -> np.ndarray:
-    """Top-left block of (J - lam I)^{-1} by cyclic reduction, ceil(log2 N) levels.
+def _block_reduction(J: BlockJacobi, lam):
+    """m_J(lam) of a block chain by block cyclic reduction, of lam.shape + (d, d), and
+    the largest Frobenius norm of its O(N) block residual; a singular pivot raises LinAlgError.
 
     Row k of (J - lam) X = E0 reads L_k X_{k-1} + D_k X_k + U_k X_{k+1} = E0_k.
-    Each level eliminates the odd rows and leaves a block-tridiagonal system
-    in the even rows, half as long, whose right-hand side is still E0;
-    back-substitution then recovers every X_k for the residual guard.  No
-    pivot can blow up: each D_o is a diagonal block of a Schur complement of
-    J - lam, hence a Schur complement of J - lam itself.  Its imaginary part
-    (D - D^*)/2i is -Im lam I minus a positive semidefinite term for
-    Im lam > 0 (plus one for Im lam < 0), so ||D_o^{-1}|| <= 1/|Im lam|.
-
-    A scalar chain (d = 1), and a Kronecker J = j (x) I_d through its chain j,
-    runs on flat arrays of numbers, one elementwise operation per step of a
-    level.  Block chains solve each level's odd rows in one batched solve,
-    and make one product per shared right operand with the left operands
-    stacked along rows, for the substitution and for the residual: every
-    entry is still the same d-term sum.
-
-    lam may have any shape; the result has shape lam.shape + (d, d).  The
-    levels hold O(points * N * d^2) numbers.  A real lam at which a pivot is
-    exactly singular (a_k - lam for an odd k, on the first level) raises
-    PoleError even off the spectrum.  The residual guard is what certifies
-    the value: it also raises at a pole that no pivot shows as singular.
+    Each level solves the odd rows in one batched solve, eliminates them and
+    leaves a block-tridiagonal system in the even rows, half as long, whose
+    right-hand side is still E0; back-substitution then recovers every X_k
+    for the residual.  One product per shared right operand, the left
+    operands stacked along rows, serves the substitution and the residual:
+    every entry is still the same d-term sum.
     """
-    lam = _as_complex(lam)
-    j = J if J.d == 1 else J._scalar_chain
-    if j is not None:
-        return _times_identity(_chain_reduction(j, lam), J.d)
     d, lead = J.d, np.shape(lam)
     # C_k = [L_k | U_k]; lam's axes as ones, since numpy < 2 reads a solve
     # right-hand side with one axis fewer than the matrices as a stack of vectors
@@ -314,27 +289,24 @@ def m_resolvent(J: BlockJacobi, lam) -> np.ndarray:
     rows[..., :d, :] -= _times_eye(lam, d)[..., None, :, :]
     D = rows[..., :d, :]  # the first pivots, a_k - lam
     levels = []
-    try:
-        while D.shape[-3] > 1:
-            # odd rows: X_o = -alpha_o X_{o-1} - beta_o X_{o+1}, [alpha | beta] = D_o^{-1} C_o
-            ab = _solve(D[..., 1::2, :, :], C[..., 1::2, :, :])
-            levels.append(ab)
-            # substitute them into the even rows; the odd row before row 0, and
-            # after a last even row, is zero (L_0 = 0 and U_{n-1} = 0 anyway)
-            pad = np.zeros(ab.shape[:-3] + (1, d, 2 * d), dtype=complex)
-            odd = np.concatenate([pad, ab] + [pad] * (D.shape[-3] % 2), axis=-3)
-            C = C[..., ::2, :, :]
-            # one product per odd slot j, [U_{j-1}; L_j] @ odd_j, for the even rows
-            # on either side of it (zero blocks past the ends)
-            W = np.zeros(odd.shape[:-2] + (2 * d, d), dtype=complex)
-            W[..., 1:, :d, :], W[..., :-1, d:, :] = C[..., d:], C[..., :d]
-            Q = W @ odd
-            left, right = Q[..., :-1, d:, :], Q[..., 1:, :d, :]
-            D = D[..., ::2, :, :] - left[..., d:] - right[..., :d]
-            C = np.concatenate([-left[..., :d], -right[..., d:]], axis=-1)
-        X = _solve(D, _eye(d).reshape((1,) * (D.ndim - 2) + (d, d)))
-    except np.linalg.LinAlgError as exc:
-        raise PoleError(f"singular shift at lambda={lam}") from exc
+    while D.shape[-3] > 1:
+        # odd rows: X_o = -alpha_o X_{o-1} - beta_o X_{o+1}, [alpha | beta] = D_o^{-1} C_o
+        ab = np.linalg.solve(D[..., 1::2, :, :], C[..., 1::2, :, :])
+        levels.append(ab)
+        # substitute them into the even rows; the odd row before row 0, and
+        # after a last even row, is zero (L_0 = 0 and U_{n-1} = 0 anyway)
+        pad = np.zeros(ab.shape[:-3] + (1, d, 2 * d), dtype=complex)
+        odd = np.concatenate([pad, ab] + [pad] * (D.shape[-3] % 2), axis=-3)
+        C = C[..., ::2, :, :]
+        # one product per odd slot j, [U_{j-1}; L_j] @ odd_j, for the even rows
+        # on either side of it (zero blocks past the ends)
+        W = np.zeros(odd.shape[:-2] + (2 * d, d), dtype=complex)
+        W[..., 1:, :d, :], W[..., :-1, d:, :] = C[..., d:], C[..., :d]
+        Q = W @ odd
+        left, right = Q[..., :-1, d:, :], Q[..., 1:, :d, :]
+        D = D[..., ::2, :, :] - left[..., d:] - right[..., :d]
+        C = np.concatenate([-left[..., :d], -right[..., d:]], axis=-1)
+    X = np.linalg.solve(D, _eye(d).reshape((1,) * (D.ndim - 2) + (d, d)))
     for ab in reversed(levels):
         # the even rows are known: each odd row takes the even rows around it (zero past the end)
         n_odd = ab.shape[-3]
@@ -342,17 +314,95 @@ def m_resolvent(J: BlockJacobi, lam) -> np.ndarray:
         X_odd = -(ab @ np.concatenate([ends[..., :-1, :, :], ends[..., 1:, :, :]], -2))
         X, X_even = np.empty(X.shape[:-3] + (X.shape[-3] + n_odd, d, d), dtype=complex), X
         X[..., ::2, :, :], X[..., 1::2, :, :] = X_even, X_odd
-    # pole guard on the O(N) block residual: a dense one would build the N d x N d matrix;
-    # X_k's terms in rows k, k + 1 and k - 1 come from one product
+    # the residual in O(N): a dense one would build the N d x N d matrix; X_k's terms
+    # in rows k, k + 1 and k - 1 come from one product
     P = rows @ X
     r = P[..., :d, :]
     r[..., 1:, :, :] += P[..., :-1, d:2 * d, :]
     r[..., :-1, :, :] += P[..., 1:, 2 * d:, :]
     r[..., 0, :, :] -= _eye(d)
-    res = np.max(np.linalg.norm(r, axis=(-2, -1)))
-    if not res <= POLE_RESIDUAL_TOL * np.sqrt(d):  # a NaN residual fails too
+    return X[..., 0, :, :].copy(), np.max(np.linalg.norm(r, axis=(-2, -1)))  # a view would keep all of X alive
+
+
+def _star_tree(J: BlockJacobi, lam):
+    """m_J(lam) of a block chain by composing its J-fraction maps pairwise as
+    Redheffer star products, of lam.shape + (d, d); a singular solve raises LinAlgError.
+
+    The map w -> (a_k - lam - b_k w b_k^*)^{-1} is held in star form,
+    w -> S11 + S12 w (I - S22 w)^{-1} S21, with S11 = c^{-1}, S12 = c^{-1} b_k,
+    S21 = b_k^* c^{-1}, S22 = b_k^* c^{-1} b_k and c = a_k - lam.  b_{N-1} = 0
+    makes the last map the constant c^{-1}, so m is S11 of the whole
+    composition, made in ceil(log2 N) levels of batched solves.  A merge makes
+    one product per shared right operand, the left operands stacked along rows.
+    """
+    d, lead = J.d, np.shape(lam)
+    # [S11 | S12] = c^{-1} [I | b] and [S21 | S22] = b^* [S11 | S12]; the
+    # right-hand side carries lam's axes as ones, as in _block_reduction
+    rhs = J._cf_rhs.reshape((1,) * len(lead) + J._cf_rhs.shape)
+    S = np.linalg.solve(J.a - _times_eye(lam, d)[..., None, :, :], rhs)
+    S = np.concatenate([S, J._cf_b_adj @ S], axis=-2)
+    while S.shape[-3] > 1:
+        n_pairs = S.shape[-3] // 2
+        outer, inner = S[..., 0:2 * n_pairs:2, :, :], S[..., 1:2 * n_pairs:2, :, :]
+        # S * T from one factorisation of I - S22 T11, V = (I - S22 T11)^{-1} [S21 | S22 T12]:
+        # [H11 | H12] = [S11 | S12 T12] + S12 T11 V,  [H21 | H22] = [0 | T22] + T21 V.
+        # A solve, not inv(I - S22 T11) @ [...]: on random d = 3 chains near
+        # the real axis the inverse lost up to 400 times more accuracy.
+        # products that share a right operand are one product of row-stacked left operands
+        st = outer[..., d:] @ inner[..., :d, :]  # [S12 T11 | S12 T12; S22 T11 | S22 T12]
+        s12_t, s22_t = st[..., :d, :], st[..., d:, :]
+        V = np.linalg.solve(_eye(d) - s22_t[..., :d], np.concatenate([outer[..., d:, :d], s22_t[..., d:]], axis=-1))
+        H = np.concatenate([s12_t[..., :d], inner[..., d:, :d]], axis=-2) @ V  # [S12 T11 V; T21 V]
+        H[..., :d, :d] += outer[..., :d, :d]
+        H[..., :d, d:] += s12_t[..., d:]
+        H[..., d:, d:] += inner[..., d:, d:]
+        # an odd one out, the last map, goes up a level unchanged
+        S = np.concatenate([H, S[..., 2 * n_pairs:, :, :]], axis=-3)
+    return S[..., 0, :d, :d].copy()  # not a view that keeps S alive
+
+
+def _routed(J: BlockJacobi, lam):
+    """The matrix a route's core runs on, the lam it takes there, and the factor on its value.
+
+    The matrix is J's scalar chain j for d = 1 and for a Kronecker J, else J.
+    When lam passes herglotz._prescale's bound, where numpy's division and
+    LAPACK overflow inside, it is a quarter of that matrix at lam / 4, whose
+    m-function is four times J's at lam; an array lam is scaled whole.  Powers
+    of two scale every rounding exactly, but in the subnormal range, and
+    leave the residual as it is.
+    """
+    K = J if J.d == 1 else J._scalar_chain or J
+    return (K, lam, None) if _prescale(lam) is None else (BlockJacobi(a=K.a / 4, b=K.b / 4), lam / 4, 0.25)
+
+
+def m_resolvent(J: BlockJacobi, lam) -> np.ndarray:
+    """Top-left block of (J - lam I)^{-1} by cyclic reduction, ceil(log2 N) levels.
+
+    A scalar chain (d = 1), and a Kronecker J = j (x) I_d through its chain j,
+    runs ``_chain_reduction`` on flat arrays of numbers; other block chains run
+    ``_block_reduction``, one batched d x d solve per level.  No pivot can blow
+    up: each is a diagonal block of a Schur complement of J - lam, hence a
+    Schur complement of J - lam itself.  Its imaginary part (D - D^*)/2i is
+    -Im lam I minus a positive semidefinite term for Im lam > 0 (plus one for
+    Im lam < 0), so ||D^{-1}|| <= 1/|Im lam|.
+
+    lam may have any shape; the result has shape lam.shape + (d, d).  The
+    levels hold O(points * N * d^2) numbers.  A real lam at which a pivot is
+    exactly singular (a_k - lam for an odd k, on the first level) raises
+    PoleError even off the spectrum.  The residual guard (POLE_RESIDUAL_TOL,
+    times sqrt(d) for a block chain) is what certifies the value: it also
+    raises at a pole that no pivot shows as singular.
+    """
+    lam = _as_complex(lam)
+    K, at, scale = _routed(J, lam)
+    try:
+        m, res = _chain_reduction(K, at) if K.d == 1 else _block_reduction(K, at)
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:
+        raise PoleError(f"singular shift at lambda={lam}") from exc
+    if not res <= POLE_RESIDUAL_TOL * math.sqrt(K.d):  # a NaN residual fails too
         raise PoleError(f"solve residual {res:.3e}: lambda={lam} is near the truncation spectrum")
-    return X[..., 0, :, :].copy()  # a view would keep all N blocks of X alive
+    m = m if scale is None else m * scale
+    return _times_identity(m, J.d) if K.d == 1 else m
 
 
 def m_cf(J: BlockJacobi, lam) -> np.ndarray:
@@ -360,61 +410,33 @@ def m_cf(J: BlockJacobi, lam) -> np.ndarray:
 
     That is m_N = (a_{N-1} - lam)^{-1}, m_k = (a_k - lam - b_k m_{k+1} b_k^*)^{-1}.
     A scalar chain (d = 1), and a Kronecker J = j (x) I_d through its chain j,
-    runs this backward recursion itself, O(N) steps on numbers.  Block chains
-    compose the maps pairwise in ceil(log2 N) levels, each map held in
-    Redheffer star form, w -> S11 + S12 w (I - S22 w)^{-1} S21, with
-    S11 = c^{-1}, S12 = c^{-1} b_k, S21 = b_k^* c^{-1}, S22 = b_k^* c^{-1} b_k
-    and c = a_k - lam.  b_{N-1} = 0 makes the last map the constant c^{-1},
-    so m is S11 of the whole composition.  The blocks of a composition are
-    corner blocks of the resolvent of its stretch of the chain (times b), so
-    they stay bounded, where a product of 2d x 2d transfer matrices loses
-    rank.  A merge makes one product per shared right operand, the left
-    operands stacked along rows.  Equals m_resolvent exactly in exact
-    arithmetic.
+    runs this backward recursion itself in ``_chain_fraction``, O(N) steps on
+    numbers.  Other block chains compose the maps pairwise in ``_star_tree``,
+    in ceil(log2 N) levels.  The blocks of a composition are corner blocks of
+    the resolvent of its stretch of the chain (times b), so they stay
+    bounded, where a product of 2d x 2d transfer matrices loses rank.  Equals
+    m_resolvent exactly in exact arithmetic.
 
     lam may have any shape; the result has shape lam.shape + (d, d).  The
     tree holds O(points * N * d^2) numbers, a stack of N (2d, 2d) blocks per
     point and its temporaries; the recursion O(points * N).  A real lam at
     which a denominator is exactly singular (a scalar chain's
     a_k - lam - |b_k|^2 m_{k+1}, or a block chain's a_k - lam) raises
-    PoleError even where the fraction itself is finite.  There is no
-    residual guard: at a pole that rounding leaves merely near-singular it
-    returns a huge finite value where m_resolvent raises.
+    PoleError even where the fraction itself is finite, and so does a value
+    that is not finite.  There is no residual guard: at a pole that rounding
+    leaves merely near-singular it returns a huge finite value where
+    m_resolvent raises.
     """
     lam = _as_complex(lam)
-    j = J if J.d == 1 else J._scalar_chain
-    if j is not None:
-        return _times_identity(_chain_fraction(j, lam), J.d)
-    d, lead = J.d, np.shape(lam)
-    # [S11 | S12] = c^{-1} [I | b] and [S21 | S22] = b^* [S11 | S12]; the
-    # right-hand side carries lam's axes as ones, as in m_resolvent
-    rhs = J._cf_rhs.reshape((1,) * len(lead) + J._cf_rhs.shape)
+    K, at, scale = _routed(J, lam)
     try:
-        S = _solve(J.a - _times_eye(lam, d)[..., None, :, :], rhs)
-        S = np.concatenate([S, J._cf_b_adj @ S], axis=-2)
-        while S.shape[-3] > 1:
-            n_pairs = S.shape[-3] // 2
-            outer, inner = S[..., 0:2 * n_pairs:2, :, :], S[..., 1:2 * n_pairs:2, :, :]
-            # S * T from one factorisation of I - S22 T11, V = (I - S22 T11)^{-1} [S21 | S22 T12]:
-            # [H11 | H12] = [S11 | S12 T12] + S12 T11 V,  [H21 | H22] = [0 | T22] + T21 V.
-            # A solve, not inv(I - S22 T11) @ [...]: on random d = 3 chains near
-            # the real axis the inverse lost up to 400 times more accuracy.
-            # products that share a right operand are one product of row-stacked left operands
-            st = outer[..., d:] @ inner[..., :d, :]  # [S12 T11 | S12 T12; S22 T11 | S22 T12]
-            s12_t, s22_t = st[..., :d, :], st[..., d:, :]
-            V = _solve(_eye(d) - s22_t[..., :d], np.concatenate([outer[..., d:, :d], s22_t[..., d:]], axis=-1))
-            H = np.concatenate([s12_t[..., :d], inner[..., d:, :d]], axis=-2) @ V  # [S12 T11 V; T21 V]
-            H[..., :d, :d] += outer[..., :d, :d]
-            H[..., :d, d:] += s12_t[..., d:]
-            H[..., d:, d:] += inner[..., d:, d:]
-            # an odd one out, the last map, goes up a level unchanged
-            S = np.concatenate([H, S[..., 2 * n_pairs:, :, :]], axis=-3)
-    except np.linalg.LinAlgError as exc:
+        m = _chain_fraction(K, at) if K.d == 1 else _star_tree(K, at)
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:
         raise PoleError(f"singular shift in the J-fraction at lambda={lam}") from exc
-    m = S[..., 0, :d, :d].copy()  # not a view that keeps S alive
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise PoleError(f"the J-fraction is not finite at lambda={lam}")
-    return m
+    m = m if scale is None else m * scale
+    return _times_identity(m, J.d) if K.d == 1 else m
 
 
 def quadrature_m0(lam, nodes: int, kind: int):

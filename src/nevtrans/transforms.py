@@ -8,7 +8,7 @@ Both take lam of any shape and values of shape lam.shape + (d, d); the
 iteration runs at fixed lam, on a whole lam array at once.  Realizations of
 the iterates as operators live in :mod:`nevtrans.realize`.
 
-A 1 x 1 value is inverted by a division (``herglotz._solve``), never by
+A 1 x 1 value is inverted by a division (``herglotz._finite_inv``), never by
 LAPACK or an SVD.  ``gamma_hat`` takes one 1 x 1 value at a scalar lam
 through the same operations on numpy scalars, whose division rounds as
 numpy's array division does: an array lam gives the bits of the scalar

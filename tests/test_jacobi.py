@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 
 from nevtrans import jacobi
 from nevtrans.errors import CutError, PoleError
-from nevtrans.herglotz import RealizedFunction
+from nevtrans.herglotz import RealizedFunction, _finite_inv
 from nevtrans.jacobi import (
     BlockJacobi,
-    _solve,
     build_J0,
     build_Jhat0,
     m_cf,
@@ -208,24 +207,50 @@ class TestReductions:
                     route(J, lam)
 
     def test_scalar_solve_matches_lapack(self):
-        # 1 x 1 blocks are divided, not passed to LAPACK: the same x to a few ulps of |x|
+        # _finite_inv divides a 1 x 1 block, not passing it to LAPACK: the same inverse to a few ulps
         rng = np.random.default_rng(11)
         scale = 10.0 ** rng.uniform(-300, 300, (4, 500, 1, 1))  # tiny and huge pivots
         A = scale * (rng.standard_normal((4, 500, 1, 1)) + 1j * rng.standard_normal((4, 500, 1, 1)))
-        B = rng.standard_normal((1, 500, 1, 3)) + 1j * rng.standard_normal((1, 500, 1, 3))
-        got, want = _solve(A, B), np.linalg.solve(A, B)
-        assert got.shape == want.shape == (4, 500, 1, 3)
+        got, want = _finite_inv(A), np.linalg.inv(A)
+        assert got.shape == want.shape == (4, 500, 1, 1)
         assert np.all(np.abs(got - want) <= 8 * np.spacing(np.abs(want)))
         A3 = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
-        B3 = rng.standard_normal((5, 3, 2)) + 0j
-        assert np.array_equal(_solve(A3, B3), np.linalg.solve(A3, B3))  # d > 1 is LAPACK's own call
+        assert np.array_equal(_finite_inv(A3), np.linalg.inv(A3))  # d > 1 solves against I, as inv does
         A[2, 7] = 0.0
         with pytest.raises(np.linalg.LinAlgError):
-            _solve(A, B)
-        with warnings.catch_warnings():  # an overflowing quotient is as silent as in LAPACK
+            _finite_inv(A)
+        with warnings.catch_warnings():  # a reciprocal that overflows is not finite, without a warning
             warnings.simplefilter("error", RuntimeWarning)
-            x = _solve(np.full((1, 1, 1), 1e-300 + 0j), np.full((1, 1, 1), 1e300 + 0j))
-        assert np.isinf(x.real).all()
+            with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+                _finite_inv(np.full((1, 1, 1), 1e-320 + 0j))
+            assert _finite_inv(np.full((1, 1), 1e308 + 1e308j))[0, 0] == 5e-309 - 5e-309j  # a quarter of M
+
+    def test_the_pole_error_quotes_the_core_residual(self):
+        # the cores only compute; the route guards the residual its core returns
+        lam = math.sqrt(2)  # an eigenvalue of build_Jhat0(1, 3) that no pivot shows as singular
+        _, res = jacobi._chain_reduction(build_Jhat0(1, 3), complex(lam))
+        assert f"{res:.3e}" == "2.500e-01"
+        for d in (1, 3):  # d = 3 is guarded by its scalar chain
+            with pytest.raises(PoleError, match=f"solve residual {res:.3e}: "):
+                m_resolvent(build_Jhat0(d, 3), lam)
+        J = random_jacobi(2, 2, 6)
+        pole = complex(np.linalg.eigvalsh(J.dense())[2])
+        _, res = jacobi._block_reduction(J, pole)
+        assert res > jacobi.POLE_RESIDUAL_TOL * math.sqrt(2)
+        with pytest.raises(PoleError, match=f"solve residual {res:.3e}: "):
+            m_resolvent(J, pole)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_a_lambda_near_the_float_maximum_is_prescaled(self, d, stacked):
+        # numpy's division and LAPACK overflow inside past the largest double: at 1e308 + 1e308i
+        # m_cf returned -0 and m_resolvent raised PoleError on a residual of 1
+        lams = np.array([[1e308 + 1e308j, -1e308 + 1e308j], [-1.5e308 - 5e307j, 0.5 + 2j]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for J in (kronecker([0.0, 0.0, 0.0], [1.0, 1.0], d), random_jacobi(5, d, 7)):
+                for route in (m_resolvent, m_cf):
+                    assert np.array_equal(route(J, 1e308 + 1e308j), (-5e-309 + 5e-309j) * np.eye(d)), route.__name__
+                    assert np.array_equal(route(J, lams), stacked(lambda lam: route(J, lam), lams)), route.__name__
 
     def test_results_do_not_keep_the_reduction_alive(self):
         # a view into the levels would hold O(N d^2) numbers per returned d x d block

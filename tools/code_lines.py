@@ -2,13 +2,18 @@
 comment, leaving out blank lines and module, class and function docstrings.
 
     python3 tools/code_lines.py src/nevtrans/*.py
+    python3 tools/code_lines.py src/nevtrans
 
-prints one ``count path`` line per file and then the total.
+prints one ``count path`` line per file and then the total.  A directory
+stands for its ``*.py`` files, in sorted order; a path that does not exist
+exits 2 with one ``error:`` line.
 """
 
 from __future__ import annotations
 
 import ast
+import io
+import os
 import sys
 import tokenize
 
@@ -31,16 +36,24 @@ def code_lines(path: str) -> int:
     with open(path, "rb") as fh:
         source = fh.read()
     lines = set()
-    with open(path, "rb") as fh:
-        for tok in tokenize.tokenize(fh.readline):
-            if tok.type not in _LAYOUT:
-                lines.update(range(tok.start[0], tok.end[0] + 1))
+    for tok in tokenize.tokenize(io.BytesIO(source).readline):
+        if tok.type not in _LAYOUT:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
     return len(lines - _docstring_lines(ast.parse(source)))
 
 
 def main(paths: list[str]) -> None:
-    total = 0
+    files = []
     for path in paths:
+        if os.path.isdir(path):
+            files += sorted(os.path.join(path, name) for name in os.listdir(path) if name.endswith(".py"))
+        elif os.path.exists(path):
+            files.append(path)
+        else:
+            print(f"error: no such file or directory: {path}", file=sys.stderr)
+            sys.exit(2)
+    total = 0
+    for path in files:
         n = code_lines(path)
         total += n
         print(f"{n:6d} {path}")
