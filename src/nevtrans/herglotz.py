@@ -67,6 +67,15 @@ def _times_eye(x, d: int) -> np.ndarray:
     return x * _eye(d) if isinstance(x, complex) else np.multiply.outer(x, _eye(d))
 
 
+def _times_identity(m, d: int) -> np.ndarray:
+    """m I_d for values m of lam.shape, as a new lam.shape + (d, d) array: exactly m on
+    the diagonal and +0.0 off it."""
+    m = np.asarray(m)
+    out = np.zeros(m.shape + (d, d), dtype=complex)
+    out.reshape(m.shape + (d * d,))[..., ::d + 1] = m[..., None]
+    return out
+
+
 def _prescale(x):
     """None when |Re x| + |Im x| is at most the largest float for every x; else the
     powers of two, 0.25 where it exceeds it and 1.0 elsewhere, of x's shape.

@@ -26,7 +26,8 @@ import numpy as np
 
 from .errors import CutError, PoleError
 from .herglotz import (
-    POLE_RESIDUAL_TOL, _as_complex, _eye, _hermitian, _matrix_from_json, _matrix_to_json, _prescale, _times_eye,
+    POLE_RESIDUAL_TOL, _as_complex, _eye, _hermitian, _matrix_from_json, _matrix_to_json, _prescale,
+    _times_eye, _times_identity,
 )
 
 
@@ -200,15 +201,6 @@ def _free_jacobi(d: int, N: int, b_divisors: list) -> BlockJacobi:
         raise ValueError("need d >= 1 and N >= 2")
     eye = np.eye(d, dtype=complex)
     return BlockJacobi.of(np.zeros((N, d, d), dtype=complex), eye / np.reshape(b_divisors, (-1, 1, 1)))
-
-
-def _times_identity(m, d: int) -> np.ndarray:
-    """m I_d for values m of lam.shape, as a new lam.shape + (d, d) array: exactly m on
-    the diagonal and +0.0 off it."""
-    m = np.asarray(m)
-    out = np.zeros(m.shape + (d, d), dtype=complex)
-    out.reshape(m.shape + (d * d,))[..., ::d + 1] = m[..., None]
-    return out
 
 
 def _chain_reduction(j: BlockJacobi, lam):

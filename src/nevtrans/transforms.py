@@ -15,6 +15,17 @@ numpy's array division does: an array lam gives the bits of the scalar
 calls, stacked.  A scalar lam stays a Python complex: ``gamma`` tests it
 against +-1 with ``abs`` and divides by the Python scalar lam^2 - 1, and
 lam I_d and the iteration's target m0 I_d are one product with I_d each.
+
+Gamma and Gamma_hat map the line C I_d into itself, and the fixed point
+m0 I_d lies on it, as do zero(d)'s value and the m-functions of a Kronecker
+Jacobi matrix.  A value whose d x d matrices (d > 1) are each exactly c I_d,
+c finite and -0.0 counted as zero, runs as its 1 x 1 value c: ``gamma`` and
+``gamma_hat`` return c' I_d, with the 1 x 1 call's bits on the diagonal and
++0.0 off it, and ``iterate_gamma_hat`` tests its start once, iterates c and
+takes each residual as a modulus.  A stack runs so only when every matrix
+of it has the form: a stack that mixes c I_d with other matrices runs whole
+on the d x d path, and its c I_d matrices match the scalar calls to rounding,
+not bit for bit.  One matrix is tested as a Python list in about 1 us.
 """
 
 from __future__ import annotations
@@ -24,7 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .herglotz import RealizedFunction, _as_complex, _finite_inv, _finite_recip, _prescale, _times_eye, evaluate
+from .herglotz import (
+    RealizedFunction, _as_complex, _finite_inv, _finite_recip, _prescale, _times_eye, _times_identity, evaluate,
+)
 from .specialfn import CUT_TOL, m0_gammahat
 
 #: condition number above which gamma emits an ill-conditioning warning
@@ -46,13 +59,16 @@ def gamma(Mval: np.ndarray, lam) -> np.ndarray:
     if near:
         raise ValueError(f"lam={lam} is within {CUT_TOL} of +-1, where the lam^2 - 1 factor vanishes")
     Mval = np.atleast_2d(np.asarray(Mval, dtype=complex))
-    if Mval.shape[-1] > 1:  # a 1 x 1 value's condition number is exactly 1
+    d = Mval.shape[-1]
+    c = _scalar_part(Mval) if d > 1 else None
+    if c is None and d > 1:  # a 1 x 1 value's condition number is exactly 1, and so is c I_d's
         cond = np.linalg.cond(Mval)
         if not np.all(np.isfinite(cond)):
             raise np.linalg.LinAlgError("singular value passed to gamma")
         if np.any(cond > COND_WARN):
             warnings.warn(f"gamma input condition number {np.max(cond):.2e}", RuntimeWarning, stacklevel=2)
-    return _finite_inv(Mval) / scale
+    inv = _finite_inv(Mval if c is None else c) / scale
+    return inv if c is None else _times_identity(inv[..., 0, 0], d)
 
 
 def gamma_hat(Mval: np.ndarray, lam) -> np.ndarray:
@@ -62,16 +78,39 @@ def gamma_hat(Mval: np.ndarray, lam) -> np.ndarray:
     exact in powers of two: M + lam I would overflow inside the division and inside
     LAPACK, which both flush -(lam I)^{-1} to zero at lam = 1e308 + 1e308i.  One
     1 x 1 value at a scalar lam needs no test: its reciprocal takes a quarter of
-    M + lam itself, with the same bits.
+    M + lam itself, with the same bits.  A value c I_d runs as its 1 x 1 value c.
     """
     Mval, lam = np.atleast_2d(np.asarray(Mval, dtype=complex)), _as_complex(lam)
+    if Mval.shape == (1, 1) and isinstance(lam, complex):
+        return (-_finite_recip(Mval[0, 0] + lam))[None, None]
+    d = Mval.shape[-1]
+    c = _scalar_part(Mval) if d > 1 else None
+    return _gamma_hat(Mval, lam) if c is None else _times_identity(_gamma_hat(c, lam)[..., 0, 0], d)
+
+
+def _gamma_hat(Mval: np.ndarray, lam) -> np.ndarray:
+    """gamma_hat without its c I_d test, for that test's 1 x 1 values and the prescaled
+    retry, so that a call of gamma_hat stays one call of it."""
     if Mval.shape == (1, 1) and isinstance(lam, complex):
         return (-_finite_recip(Mval[0, 0] + lam))[None, None]
     s = _prescale(lam)
     if s is not None:
         s_ = np.asarray(s)[..., None, None]
-        return gamma_hat(Mval * s_, lam * s) * s_
+        return _gamma_hat(Mval * s_, lam * s) * s_
     return -_finite_inv(Mval + _times_eye(lam, Mval.shape[-1]))
+
+
+def _scalar_part(M: np.ndarray):
+    """M[..., :1, :1] when every d x d matrix of M (d > 1) is exactly c I_d with c finite, else
+    None; -0.0 counts as zero.  One matrix is compared as a Python list, a stack as an array."""
+    d = M.shape[-1]
+    if M.ndim > 2:
+        ok = np.isfinite(M[..., 0, 0]).all() and np.array_equal(M, _times_identity(M[..., 0, 0], d))
+    else:
+        v = M.ravel().tolist()
+        # v[1] rejects most other matrices at once; NaN - NaN and inf - inf fail v[0] - v[0] == 0
+        ok = v[1] == 0 and v == [v[0]] + ([0j] * d + [v[0]]) * (d - 1) and v[0] - v[0] == 0
+    return M[..., :1, :1] if ok else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,20 +136,26 @@ class IterationTrace:
 
 
 def iterate_gamma_hat(F: RealizedFunction, lam, n: int) -> IterationTrace:
-    """n steps of M_{k+1} = -(M_k + lam)^{-1} starting from F(lam)."""
+    """n steps of M_{k+1} = -(M_k + lam)^{-1} starting from F(lam).
+
+    A start c I_d (d > 1) takes its n gamma_hat calls on the 1 x 1 value c and
+    returns the iterates as c_k I_d, with residuals |c_k - m0|."""
     lam = _as_complex(lam)
     if lam.imag == 0.0 if isinstance(lam, complex) else np.any(lam.imag == 0.0):
         raise ValueError("iteration requires Im lam != 0")
     if n < 1:
         raise ValueError("need at least one step")
-    target = _times_eye(m0_gammahat(lam), F.dim)
-    values = np.empty((n,) + target.shape, dtype=complex)
     val = evaluate(F, lam)
+    c = _scalar_part(val) if F.dim > 1 else None
+    val, d = (val, F.dim) if c is None else (c, 1)  # Gamma_hat keeps c I_d on its line: iterate c
+    target = _times_eye(m0_gammahat(lam), d)
+    values = np.empty((n,) + target.shape, dtype=complex)
     for k in range(n):
         values[k] = val = gamma_hat(val, lam)
     # a 1 x 1 iterate's operator norm is the modulus; larger ones take one batched SVD over the
     # stacked iterates, each matrix getting the singular values of its own call
     err = values - target
-    res = np.abs(err[..., 0, 0]) if F.dim == 1 else np.linalg.norm(err, 2, axis=(-2, -1))
+    res = np.abs(err[..., 0, 0]) if d == 1 else np.linalg.norm(err, 2, axis=(-2, -1))
     ratios = np.divide(res[1:], res[:-1], out=np.zeros_like(res[1:]), where=res[:-1] > 0.0)
+    values = values if d == F.dim else _times_identity(values[..., 0, 0], F.dim)
     return IterationTrace(lam, values, res, ratios)

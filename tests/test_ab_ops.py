@@ -1,7 +1,9 @@
-"""tools/ab_ops.py: two copies of one tree import as distinct packages, and the round-ratio summary."""
+"""tools/ab_ops.py: two copies of one tree import as distinct packages, the round-ratio summary and
+the set-up pairs' report."""
 
 import importlib.util
 import os
+import re
 import sys
 
 import numpy as np
@@ -38,3 +40,16 @@ def test_two_copies_of_one_tree_are_distinct_and_give_equal_bits(tmp_path):
     finally:
         for name in [m for m in sys.modules if m.split(".")[0] in ab_ops.TREES]:
             del sys.modules[name]
+
+
+def test_setup_pairs_print_each_median_and_the_pair_ratio(capsys, tmp_path):
+    ab_ops = _load_tool()
+    assert ab_ops.main([SRC, SRC, "--workload", "jacobi-grid", "--seed", "1", "--setup", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"jacobi-grid seed 1, 1 set-up pairs; base {SRC}, new {SRC}"
+    assert re.fullmatch(r"median set-up s: base \d+\.\d{3}, new \d+\.\d{3}, new/base \d+\.\d{3}", lines[1])
+    assert re.fullmatch(r"pair ratio new/base: median (\d+\.\d{3}), quartiles \[\1, \1\] over 1 pairs", lines[2])
+    assert len(lines) == 3
+    # a tree without a nevtrans package: its worker fails to import, and the tool exits 1
+    assert ab_ops.main([str(tmp_path), SRC, "--workload", "jacobi-grid", "--seed", "1", "--setup", "1"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1].startswith("failed: nevtrans_base set-up exited with code 1")

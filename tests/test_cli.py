@@ -186,6 +186,14 @@ class TestIterate:
         rows = [line.split(",") for line in r.stdout.splitlines()[1:]]
         assert [(float(row[1]), float(row[2])) for row in rows] == [(-5e-309, 5e-309)] * 2
 
+    def test_a_zero_start_prints_the_same_bytes_in_every_dimension(self):
+        # zero(3)'s value is 0 I_3, which the iteration runs as its 1 x 1 value 0; a residual
+        # taken by an SVD of the 3 x 3 error read 0.5204895019658718 where the modulus reads ...733
+        one, three = (run_cli("iterate", "zero", "--lambda", "0.3,0.05", "--n", "30", "--dim", dim) for dim in "13")
+        assert one.returncode == three.returncode == 0
+        assert (one.stdout, one.stderr) == (three.stdout, three.stderr)
+        assert "final residual: 0.5204895019658733\n" in three.stderr
+
     def test_one_step_has_no_ratio(self):
         r = run_cli("iterate", "zero", "--lambda", "0,2", "--n", "1")
         assert r.returncode == 0

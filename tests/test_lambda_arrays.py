@@ -18,13 +18,16 @@ from nevtrans.transforms import gamma_hat
 def batched_cases(draw):
     """A random block Jacobi matrix and realization of one block size d <= 3, both
     of size N <= 20, and a lambda array of 0 to 3 axes and at most 12 points, off
-    the real axis."""
-    d, N = draw(st.integers(1, 3)), draw(st.integers(1, 20))
+    the real axis.  Half the matrices are Kronecker, every block c_k I_d, so that
+    their m-functions are m I_d."""
+    d, N, kronecker = draw(st.integers(1, 3)), draw(st.integers(1, 20)), draw(st.booleans())
     shape = tuple(draw(st.lists(st.integers(1, 4), max_size=3).filter(lambda s: math.prod(s) <= 12)))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     G = rng.standard_normal((N, d, d)) + 1j * rng.standard_normal((N, d, d))
     b = rng.standard_normal((N - 1, d, d)) + 1j * rng.standard_normal((N - 1, d, d))
+    if kronecker:
+        G, b = G.real[:, :1, :1] * np.eye(d), b[:, :1, :1] * np.eye(d)
     J = BlockJacobi.of((G + np.swapaxes(G.conj(), -1, -2)) / 2, b + 3 * np.eye(d))
     lam = np.asarray(rng.uniform(-3, 3, shape) + 1j * rng.uniform(0.2, 3, shape) * rng.choice([-1, 1], shape))
     return J, random_nevanlinna(seed, d, max(N, d)), lam
@@ -45,5 +48,6 @@ def test_lambda_array_equals_stacked_scalar_calls(case):
     for name, f in routes.items():
         want = np.array([f(complex(z)) for z in lam.ravel()]).reshape(lam.shape + (d, d))
         assert np.array_equal(f(lam), want), name
-    want = np.array([gamma_hat(m, complex(z)) for m, z in zip(M.reshape(-1, d, d), lam.ravel())])
-    assert np.array_equal(gamma_hat(M, lam), want.reshape(lam.shape + (d, d))), "gamma_hat"
+    for name, M in (("evaluate", M), ("m_resolvent", m_resolvent(J, lam))):  # m I_d for a Kronecker J
+        want = np.array([gamma_hat(m, complex(z)) for m, z in zip(M.reshape(-1, d, d), lam.ravel())])
+        assert np.array_equal(gamma_hat(M, lam), want.reshape(lam.shape + (d, d))), f"gamma_hat of {name}"

@@ -44,7 +44,8 @@ class TestGamma:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for M, lam in ((np.zeros((2, 2)), 2j), (np.zeros((1, 1)), 2j),  # 1 x 1: no condition number
-                           (np.array([[[1.0]], [[0.0]]]), np.array([2j, 3j]))):  # one zero in an array
+                           (np.array([[[1.0]], [[0.0]]]), np.array([2j, 3j])),  # one zero in an array
+                           (np.zeros((3, 3)), 2j), (np.zeros((2, 3, 3)), np.array([2j, 3j]))):  # 0 I_3
                 with pytest.raises(np.linalg.LinAlgError):
                     gamma(M, lam)
 
@@ -59,8 +60,9 @@ class TestGamma:
 
     def test_lambda_near_pm_one_rejected(self):
         for lam in (1.0 + 1e-17j, -1.0 - 1e-13, -1.0 + 5e-13j):
-            with pytest.raises(ValueError):
-                gamma(np.eye(1), lam)
+            for M in (np.eye(1), np.eye(3), np.eye(3)[None]):
+                with pytest.raises(ValueError):
+                    gamma(M, lam if M.ndim == 2 else np.array([lam]))
 
     def test_scalar_and_array_cut_tests_agree_at_the_boundary(self):
         # a scalar lam is tested in Python arithmetic, an array in numpy's; +-1 + i y lies
@@ -79,6 +81,23 @@ class TestGamma:
             assert raised[0] == raised[1], lam
             outcomes.append(raised[0])
         assert True in outcomes and False in outcomes
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_a_multiple_of_the_identity_gives_the_one_by_one_value(self, d, lam_grid):
+        _assert_one_by_one_on_the_diagonal(gamma, d, lam_grid)
+
+
+def _assert_one_by_one_on_the_diagonal(f, d, lam_grid):
+    """f(c I_d, lam) has f([[c]], lam)'s bits on the diagonal and +0.0 off it, at a scalar and
+    an array lam, for c = m0(lam) and for a c with a -0.0 real part."""
+    for c in (m0_gammahat(lam_grid), np.full(lam_grid.shape, -0.0 + 0.7j)):
+        for lam, cc in ((complex(lam_grid[0, 0]), c[0, 0]), (lam_grid, c)):
+            one = f(np.asarray(cc)[..., None, None], lam)[..., 0, 0]
+            got = f(np.multiply.outer(cc, np.eye(d)), lam)  # -0.0 off the diagonal where c has a negative part
+            diag = np.diagonal(got, axis1=-2, axis2=-1)
+            assert diag.tobytes() == np.repeat(np.asarray(one)[..., None], d, axis=-1).tobytes()
+            off = got[..., ~np.eye(d, dtype=bool)]
+            assert not np.any(off) and not np.signbit(off.real).any() and not np.signbit(off.imag).any()
 
 
 class TestGammaHat:
@@ -119,6 +138,16 @@ class TestGammaHat:
                 gamma_hat(np.array([[-lam + 1e-310]]), lam)
             with pytest.raises(np.linalg.LinAlgError, match="not finite"):
                 gamma_hat(np.array([[[0.0]], [[-lam + 1e-310]]]), np.array([1j, lam]))
+            with pytest.raises(np.linalg.LinAlgError):  # c I_3 with c = -lam
+                gamma_hat(-lam * np.eye(3), lam)
+            with pytest.raises(np.linalg.LinAlgError):
+                gamma_hat(np.array([0.0, -lam])[:, None, None] * np.eye(3), np.array([1j, lam]))
+            for where in ((1, 1), (0, 1)):  # a NaN on or off the diagonal: no c I_3, and LAPACK's NaN inverse
+                M = 0.5j * np.eye(3)
+                M[where] = np.nan
+                for Mval, z in ((M, lam), (M[None], np.array([lam]))):
+                    with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+                        gamma_hat(Mval, z)
 
     def test_one_by_one_extremes_match_the_array_call_and_mpmath(self):
         # |M + lam| from 1e-300 to 1e300, both signs, along the real and the imaginary axis and one
@@ -169,9 +198,21 @@ class TestGammaHat:
         gamma_hat(M, 0.5 + 1.5j)
         gamma(M, 0.5 + 1.5j)
         iterate_gamma_hat(F1, 0.5 + 1.5j, 5)
+        # zero(3)'s value and m0 I_3 are c I_3, which runs as its 1 x 1 value c, at a scalar and an array lam
+        for lam in (0.5 + 1.5j, np.array([0.5 + 1.5j, -2.0 - 0.3j])):
+            M0 = np.multiply.outer(m0_gammahat(lam), np.eye(3))
+            gamma_hat(np.zeros(M0.shape), lam)
+            gamma_hat(M0, lam)
+            gamma(M0, lam)
+            iterate_gamma_hat(RealizedFunction.zero(3), lam, 5)
         assert called == []
         iterate_gamma_hat(F2, 0.5 + 1.5j, 5)  # the spy sees d > 1
         assert called == ["norm"]
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_a_multiple_of_the_identity_gives_the_one_by_one_value(self, d, lam_grid):
+        _assert_one_by_one_on_the_diagonal(gamma_hat, d, lam_grid)
+        _assert_one_by_one_on_the_diagonal(gamma_hat, d, np.full(lam_grid.shape, 1e308 + 1e308j))  # prescaled
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_lambda_array_matches_stacked_calls(self, d, lam_grid, stacked):
@@ -249,14 +290,14 @@ class TestIterate:
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_lambda_array_matches_stacked_calls(self, d, lam_grid, stacked):
-        F = random_nevanlinna(d, d, 6)
-        got = iterate_gamma_hat(F, lam_grid, 6)
-        traces = stacked(lambda lam: np.array(iterate_gamma_hat(F, lam, 6).values), lam_grid)
-        assert np.array_equal(np.moveaxis(got.values, 0, -3), traces)
-        # residuals are distances to the closed-form fixed point, which numpy may round differently
-        want = stacked(lambda lam: np.array(iterate_gamma_hat(F, lam, 6).residuals), lam_grid)
-        assert np.all(np.abs(np.moveaxis(got.residuals, 0, -1) - want) <= 4e-16 * (1.0 + np.abs(traces).max()))
-        assert len(got.ratios) == 5 and got.ratios[0].shape == lam_grid.shape
+        for F in (random_nevanlinna(d, d, 6), RealizedFunction.zero(d)):  # zero(3) iterates c I_3
+            got = iterate_gamma_hat(F, lam_grid, 6)
+            traces = stacked(lambda lam: np.array(iterate_gamma_hat(F, lam, 6).values), lam_grid)
+            assert np.array_equal(np.moveaxis(got.values, 0, -3), traces)
+            # residuals are distances to the closed-form fixed point, which numpy may round differently
+            want = stacked(lambda lam: np.array(iterate_gamma_hat(F, lam, 6).residuals), lam_grid)
+            assert np.all(np.abs(np.moveaxis(got.residuals, 0, -1) - want) <= 4e-16 * (1.0 + np.abs(traces).max()))
+            assert len(got.ratios) == 5 and got.ratios[0].shape == lam_grid.shape
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

@@ -20,15 +20,27 @@ the count of failed checks; exits 1 when a check failed.  Run with the same
 directory twice (an A/A run), the quartiles show the tool's own spread.  It
 sizes a change; a gain is still claimed from alternating pairs of
 ``perfbench/run.py`` runs.
+
+    python3 tools/ab_ops.py BASE_SRC NEW_SRC --workload jacobi-grid --seed 13 --setup 10
+
+measures set-up instead: K pairs of ``perfbench/worker.py --setup-only``
+processes, which time the import, the workload's inputs and its warm-up
+operation, as ``perfbench/run.py`` reports them in ``setup_s``.  Each process
+has its tree's source directory alone on PYTHONPATH and one BLAS thread, and
+the tree that runs first alternates from one pair to the next.  Prints each
+tree's median set-up time and the median and quartiles of the per-pair ratio
+new/base; exits 1 when a process failed.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib.util
+import json
 import os
 import shutil
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -80,11 +92,42 @@ def _run_op(op):
         return dt, [f"{op.label}: check raised {type(exc).__name__}: {exc}"]
 
 
-def ratio_summary(base_rounds: list, new_rounds: list) -> str:
-    """The median and quartiles of the per-round ratios new/base, as one line."""
+def ratio_summary(base_rounds: list, new_rounds: list, unit: str = "round") -> str:
+    """The median and quartiles of the per-round (or per-``unit``) ratios new/base, as one line."""
     ratios = [n / b for b, n in zip(base_rounds, new_rounds)]
     q = statistics.quantiles(ratios, n=4, method="inclusive") if len(ratios) > 1 else ratios * 3
-    return f"round ratio new/base: median {q[1]:.3f}, quartiles [{q[0]:.3f}, {q[2]:.3f}] over {len(ratios)} rounds"
+    return f"{unit} ratio new/base: median {q[1]:.3f}, quartiles [{q[0]:.3f}, {q[2]:.3f}] over {len(ratios)} {unit}s"
+
+
+def setup_pairs(srcs: list, workload: str, seed: int, pairs: int) -> tuple:
+    """(base set-up times, new set-up times) from ``pairs`` pairs of perfbench/worker.py
+    --setup-only processes; raises RuntimeError when a process fails."""
+    cmd = [sys.executable, os.path.join(PERFBENCH, "worker.py"), "--workload", workload, "--seed", str(seed),
+           "--seconds", "1", "--setup-only"]
+    times = ([], [])
+    for i in range(pairs):
+        for side in (i % 2, 1 - i % 2):
+            env = dict(os.environ, PYTHONPATH=srcs[side], **{var: "1" for var in THREAD_VARS})
+            proc = subprocess.run(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+            if proc.returncode != 0:
+                raise RuntimeError(f"{TREES[side]} set-up exited with code {proc.returncode}: "
+                                   f"{(proc.stderr.strip().splitlines() or [''])[-1]}")
+            times[side].append(json.loads(proc.stdout.strip().splitlines()[-1])["setup_s"])
+    return times
+
+
+def report_setup(srcs: list, workload: str, seed: int, pairs: int) -> int:
+    """Print the set-up comparison of ``main --setup``; returns the exit code."""
+    print(f"{workload} seed {seed}, {pairs} set-up pairs; base {srcs[0]}, new {srcs[1]}")
+    try:
+        base, new = setup_pairs(srcs, workload, seed, pairs)
+    except RuntimeError as exc:
+        print(f"failed: {exc}")
+        return 1
+    b, n = statistics.median(base), statistics.median(new)
+    print(f"median set-up s: base {b:.3f}, new {n:.3f}, new/base {n / b:.3f}")
+    print(ratio_summary(base, new, unit="pair"))
+    return 0
 
 
 def main(argv=None) -> int:
@@ -94,8 +137,11 @@ def main(argv=None) -> int:
     p.add_argument("--workload", required=True, choices=("jacobi-grid", "realize-kernels", "kac-deep", "cli-session"))
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--rounds", type=int, default=1)
+    p.add_argument("--setup", type=int, default=0, metavar="K", help="measure set-up in K pairs of processes instead")
     args = p.parse_args(argv)
     srcs = [os.path.abspath(s) for s in (args.base_src, args.new_src)]
+    if args.setup > 0:
+        return report_setup(srcs, args.workload, args.seed, args.setup)
     for var in THREAD_VARS:  # one BLAS thread, as perfbench/run.py gives its processes
         os.environ[var] = "1"
     with tempfile.TemporaryDirectory() as tmp:
