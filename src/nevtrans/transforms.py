@@ -21,11 +21,11 @@ m0 I_d lies on it, as do zero(d)'s value and the m-functions of a Kronecker
 Jacobi matrix.  A value whose d x d matrices (d > 1) are each exactly c I_d,
 c finite and -0.0 counted as zero, runs as its 1 x 1 value c: ``gamma`` and
 ``gamma_hat`` return c' I_d, with the 1 x 1 call's bits on the diagonal and
-+0.0 off it, and ``iterate_gamma_hat`` tests its start once, iterates c and
-takes each residual as a modulus.  A stack runs so only when every matrix
-of it has the form: a stack that mixes c I_d with other matrices runs whole
-on the d x d path, and its c I_d matrices match the scalar calls to rounding,
-not bit for bit.  One matrix is tested as a Python list in about 1 us.
++0.0 off it.  The test is per matrix: a stack that mixes c I_d with other
+matrices runs as two stacks, so each matrix takes the path of its scalar
+call.  ``iterate_gamma_hat`` tests its start once; when every matrix of it
+is c I_d it iterates c and takes each residual as a modulus.  One matrix is
+tested as a Python list in about 1 us.
 """
 
 from __future__ import annotations
@@ -52,23 +52,24 @@ def gamma(Mval: np.ndarray, lam) -> np.ndarray:
     """Value of the involution M^{-1}/(lam^2 - 1)."""
     lam = _as_complex(lam)
     if isinstance(lam, complex):  # Python arithmetic rounds as numpy's does, without its dispatch
-        near, scale = min(abs(lam - 1.0), abs(lam + 1.0)) < CUT_TOL, lam * lam - 1.0
+        near = min(abs(lam - 1.0), abs(lam + 1.0)) < CUT_TOL
     else:
         near = np.any(np.minimum(np.abs(lam - 1.0), np.abs(lam + 1.0)) < CUT_TOL)
-        scale = np.expand_dims(lam * lam - 1.0, (-2, -1))
     if near:
         raise ValueError(f"lam={lam} is within {CUT_TOL} of +-1, where the lam^2 - 1 factor vanishes")
     Mval = np.atleast_2d(np.asarray(Mval, dtype=complex))
-    d = Mval.shape[-1]
-    c = _scalar_part(Mval) if d > 1 else None
-    if c is None and d > 1:  # a 1 x 1 value's condition number is exactly 1, and so is c I_d's
+    return _gamma(Mval, lam) if Mval.shape[-1] == 1 else _by_line(_gamma, Mval, lam)
+
+
+def _gamma(Mval: np.ndarray, lam) -> np.ndarray:
+    """gamma on the matrices that _by_line hands it."""
+    if Mval.shape[-1] > 1:  # a 1 x 1 value's condition number is exactly 1
         cond = np.linalg.cond(Mval)
         if not np.all(np.isfinite(cond)):
             raise np.linalg.LinAlgError("singular value passed to gamma")
         if np.any(cond > COND_WARN):
-            warnings.warn(f"gamma input condition number {np.max(cond):.2e}", RuntimeWarning, stacklevel=2)
-    inv = _finite_inv(Mval if c is None else c) / scale
-    return inv if c is None else _times_identity(inv[..., 0, 0], d)
+            warnings.warn(f"gamma input condition number {np.max(cond):.2e}", RuntimeWarning, stacklevel=4)
+    return _finite_inv(Mval) / (lam * lam - 1.0 if isinstance(lam, complex) else (lam * lam - 1.0)[..., None, None])
 
 
 def gamma_hat(Mval: np.ndarray, lam) -> np.ndarray:
@@ -81,16 +82,15 @@ def gamma_hat(Mval: np.ndarray, lam) -> np.ndarray:
     M + lam itself, with the same bits.  A value c I_d runs as its 1 x 1 value c.
     """
     Mval, lam = np.atleast_2d(np.asarray(Mval, dtype=complex)), _as_complex(lam)
+    # _gamma_hat's first lines, run here too: the two calls that reach them there add 4-8 % to a d = 1 call
     if Mval.shape == (1, 1) and isinstance(lam, complex):
         return (-_finite_recip(Mval[0, 0] + lam))[None, None]
-    d = Mval.shape[-1]
-    c = _scalar_part(Mval) if d > 1 else None
-    return _gamma_hat(Mval, lam) if c is None else _times_identity(_gamma_hat(c, lam)[..., 0, 0], d)
+    return _by_line(_gamma_hat, Mval, lam)
 
 
 def _gamma_hat(Mval: np.ndarray, lam) -> np.ndarray:
-    """gamma_hat without its c I_d test, for that test's 1 x 1 values and the prescaled
-    retry, so that a call of gamma_hat stays one call of it."""
+    """gamma_hat on the matrices that _by_line hands it; the prescaled retry recurses here, so
+    that a call of gamma_hat stays one call of it."""
     if Mval.shape == (1, 1) and isinstance(lam, complex):
         return (-_finite_recip(Mval[0, 0] + lam))[None, None]
     s = _prescale(lam)
@@ -100,17 +100,30 @@ def _gamma_hat(Mval: np.ndarray, lam) -> np.ndarray:
     return -_finite_inv(Mval + _times_eye(lam, Mval.shape[-1]))
 
 
-def _scalar_part(M: np.ndarray):
-    """M[..., :1, :1] when every d x d matrix of M (d > 1) is exactly c I_d with c finite, else
-    None; -0.0 counts as zero.  One matrix is compared as a Python list, a stack as an array."""
-    d = M.shape[-1]
-    if M.ndim > 2:
-        ok = np.isfinite(M[..., 0, 0]).all() and np.array_equal(M, _times_identity(M[..., 0, 0], d))
-    else:
+def _on_line(M: np.ndarray, d: int):
+    """Whether the d x d matrices of M (d > 1) are each exactly c I_d with c finite, -0.0 counted
+    as zero: a Python bool for one matrix, compared as a list in about 1 us, and for a stack whose
+    matrices all agree; for a stack that mixes both kinds, the boolean mask over its matrices."""
+    if M.ndim == 2:
         v = M.ravel().tolist()
         # v[1] rejects most other matrices at once; NaN - NaN and inf - inf fail v[0] - v[0] == 0
-        ok = v[1] == 0 and v == [v[0]] + ([0j] * d + [v[0]]) * (d - 1) and v[0] - v[0] == 0
-    return M[..., :1, :1] if ok else None
+        return v[1] == 0 and v == [v[0]] + ([0j] * d + [v[0]]) * (d - 1) and v[0] - v[0] == 0
+    on = np.isfinite(M[..., 0, 0]) & (M == _times_identity(M[..., 0, 0], d)).all((-2, -1))
+    return on if on.any() and not on.all() else bool(on.all())
+
+
+def _by_line(f, M: np.ndarray, lam) -> np.ndarray:
+    """f(M, lam), where each matrix c I_d of M (d > 1, see _on_line) runs as its 1 x 1 value c
+    and comes back as c' I_d: the 1 x 1 call's bits on the diagonal, +0.0 off it.  A stack that
+    mixes such matrices with others runs as two stacks, so each matrix takes its scalar call's path."""
+    d = M.shape[-1]
+    on = d > 1 and _on_line(M, d)
+    if isinstance(on, bool):
+        return _times_identity(f(M[..., :1, :1], lam)[..., 0, 0], d) if on else f(M, lam)
+    out = np.empty(np.broadcast_shapes(on.shape, np.shape(lam)) + (d, d), dtype=complex)
+    M, on, lam = np.broadcast_to(M, out.shape), np.broadcast_to(on, out.shape[:-2]), np.broadcast_to(lam, out.shape[:-2])
+    out[on], out[~on] = _times_identity(f(M[on][:, :1, :1], lam[on])[:, 0, 0], d), f(M[~on], lam[~on])
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,8 +159,8 @@ def iterate_gamma_hat(F: RealizedFunction, lam, n: int) -> IterationTrace:
     if n < 1:
         raise ValueError("need at least one step")
     val = evaluate(F, lam)
-    c = _scalar_part(val) if F.dim > 1 else None
-    val, d = (val, F.dim) if c is None else (c, 1)  # Gamma_hat keeps c I_d on its line: iterate c
+    # Gamma_hat keeps c I_d on its line: iterate c
+    val, d = (val[..., :1, :1], 1) if F.dim > 1 and _on_line(val, F.dim) is True else (val, F.dim)
     target = _times_eye(m0_gammahat(lam), d)
     values = np.empty((n,) + target.shape, dtype=complex)
     for k in range(n):

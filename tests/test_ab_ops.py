@@ -50,6 +50,8 @@ def test_setup_pairs_print_each_median_and_the_pair_ratio(capsys, tmp_path):
     assert re.fullmatch(r"median set-up s: base \d+\.\d{3}, new \d+\.\d{3}, new/base \d+\.\d{3}", lines[1])
     assert re.fullmatch(r"pair ratio new/base: median (\d+\.\d{3}), quartiles \[\1, \1\] over 1 pairs", lines[2])
     assert len(lines) == 3
-    # a tree without a nevtrans package: its worker fails to import, and the tool exits 1
+    # a tree whose nevtrans fails to import, ahead of any installed copy on the path: the tool exits 1
+    (tmp_path / "nevtrans").mkdir()
+    (tmp_path / "nevtrans" / "__init__.py").write_text("raise ImportError('broken tree')\n")
     assert ab_ops.main([str(tmp_path), SRC, "--workload", "jacobi-grid", "--seed", "1", "--setup", "1"]) == 1
     assert capsys.readouterr().out.splitlines()[-1].startswith("failed: nevtrans_base set-up exited with code 1")

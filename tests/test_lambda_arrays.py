@@ -51,3 +51,16 @@ def test_lambda_array_equals_stacked_scalar_calls(case):
     for name, M in (("evaluate", M), ("m_resolvent", m_resolvent(J, lam))):  # m I_d for a Kronecker J
         want = np.array([gamma_hat(m, complex(z)) for m, z in zip(M.reshape(-1, d, d), lam.ravel())])
         assert np.array_equal(gamma_hat(M, lam), want.reshape(lam.shape + (d, d))), f"gamma_hat of {name}"
+
+
+@settings(max_examples=30)
+@given(batched_cases())
+def test_a_stack_mixing_c_identity_with_other_matrices_gives_the_stacked_scalar_calls(case):
+    # every other matrix of the stack is c I_d, c from F's value (-0.0 off the diagonal where c is
+    # negative): those run as 1 x 1 values and the rest as d x d ones, in one call as in the scalar calls
+    J, F, lam = case
+    d, M = J.d, evaluate(F, lam)
+    even = (np.arange(lam.size) % 2 == 0).reshape(lam.shape + (1, 1))
+    M = np.where(even, np.multiply.outer(M[..., 0, 0], np.eye(d)), M)
+    want = np.array([gamma_hat(m, complex(z)) for m, z in zip(M.reshape(-1, d, d), lam.ravel())])
+    assert np.array_equal(gamma_hat(M, lam), want.reshape(lam.shape + (d, d)))

@@ -89,7 +89,8 @@ class TestGamma:
 
 def _assert_one_by_one_on_the_diagonal(f, d, lam_grid):
     """f(c I_d, lam) has f([[c]], lam)'s bits on the diagonal and +0.0 off it, at a scalar and
-    an array lam, for c = m0(lam) and for a c with a -0.0 real part."""
+    an array lam, for c = m0(lam) and for a c with a -0.0 real part, also in a stack where
+    every other row of lam's grid holds a matrix off the line C I_d."""
     for c in (m0_gammahat(lam_grid), np.full(lam_grid.shape, -0.0 + 0.7j)):
         for lam, cc in ((complex(lam_grid[0, 0]), c[0, 0]), (lam_grid, c)):
             one = f(np.asarray(cc)[..., None, None], lam)[..., 0, 0]
@@ -98,6 +99,10 @@ def _assert_one_by_one_on_the_diagonal(f, d, lam_grid):
             assert diag.tobytes() == np.repeat(np.asarray(one)[..., None], d, axis=-1).tobytes()
             off = got[..., ~np.eye(d, dtype=bool)]
             assert not np.any(off) and not np.signbit(off.real).any() and not np.signbit(off.imag).any()
+        mixed = np.multiply.outer(c, np.eye(d))
+        mixed[::2, :, 0, 1] = 0.25
+        diag = np.diagonal(f(mixed, lam_grid)[1::2], axis1=-2, axis2=-1)
+        assert diag.tobytes() == np.repeat(one[1::2, :, None], d, axis=-1).tobytes()
 
 
 class TestGammaHat:
