@@ -213,9 +213,15 @@ def _chain_reduction(j: BlockJacobi, lam):
     leaves the even rows in the same form, half as many; the right-hand side
     stays e_0 throughout.  Every operation is elementwise on lam.shape + (n,)
     arrays, a scalar lam included, so an array lam gives the stacked calls' bits.
+    An array of one point runs as a scalar: numpy can round a product of an (n,)
+    coupling with a (1, ..., 1, n) array unlike the same product of two (n,) ones.
     """
+    lam = np.asarray(lam)
+    if lam.ndim and lam.size == 1:
+        m, res = _chain_reduction(j, lam.reshape(()))
+        return m.reshape(lam.shape), res
     lo, up = j._couplings
-    shifted = j._diag - np.asarray(lam)[..., None]  # D_k = a_k - lam
+    shifted = j._diag - lam[..., None]  # D_k = a_k - lam
     D, levels = shifted, []
     with np.errstate(divide="raise", over="ignore", invalid="ignore"):
         while D.shape[-1] > 1:

@@ -1,12 +1,14 @@
 """Scalar Jacobi coefficients -> piecewise-constant rank-one Hamiltonians.
 
-Implements the angle/length recursion converting (a_k, b_k) into a step
-Hamiltonian whose canonical-system m-function equals the Jacobi m-function,
-plus the explicit alternating Hamiltonian of the free discrete Schroedinger
-matrix and the angle-shift constructions for the gamma_hat iterates.  They
-build and read breakpoints and angles as float64 arrays, and shift them whole
-with the same IEEE additions in the same order as shifting each angle on its
-own, so they give the same bits.
+Implements I.S. Kac's recursion converting (a_k, b_k) into a step Hamiltonian
+whose canonical-system m-function equals the Jacobi m-function, plus the
+explicit alternating Hamiltonian of the free discrete Schroedinger matrix and
+the angle-shift constructions for the gamma_hat iterates.  The recursion runs
+on the cotangents of the angle gaps and on the interval lengths, not on
+differences of cumulative angles, which near theta = 200 resolve a gap only
+to about 3e-14.  The angle-shift constructions build and read breakpoints and
+angles as float64 arrays, and shift them whole with the same IEEE additions in
+the same order as shifting each angle on its own, so they give the same bits.
 
 Angles are stored unreduced (never taken mod pi) so the strict monotonicity
 theta_{j+1} in (theta_j, theta_j + pi) stays testable; evaluation reduces
@@ -86,42 +88,55 @@ def evaluate_H(H: StepHamiltonian, t: float) -> np.ndarray:
 def kac_algorithm(a, b, m: int) -> StepHamiltonian:
     """Angle/length recursion from scalar Jacobi coefficients.
 
-    l_0 = 1, theta_0 = pi/2, theta_1 = arctan(a_0) + pi, then alternately
-    l_j = 1 / (l_{j-1} b_{j-1}^2 sin^2(theta_j - theta_{j-1})) and
-    cot(theta_{j+1} - theta_j) = -a_j l_j - cot(theta_j - theta_{j-1}) with
-    theta_{j+1} in (theta_j, theta_j + pi).  Returns the first m intervals.
+    l_0 = 1 and theta_0 = pi/2; the gap g_j = theta_j - theta_{j-1} in (0, pi)
+    is carried as its cotangent c_j, so the loop takes no trig: c_1 = -a_0,
+    l_j = (1 + c_j^2) / (l_{j-1} b_{j-1}^2), which is
+    1 / (l_{j-1} b_{j-1}^2 sin^2 g_j), and c_{j+1} = -a_j l_j - c_j.  The
+    angles follow in one pass, theta_j = (j + 1) pi/2 - sum_{i<=j} arctan c_i,
+    and the breakpoints are the running sums of the lengths.  Returns the first
+    m intervals.
+
+    Raises DegenerateStepError naming the first j whose stored gap
+    theta_j - theta_{j-1} is not positive or has |sine| below _SIN_TOL, whose
+    cotangent puts the gap itself within that sine of 0 or pi
+    (|c_j| >= 1/_SIN_TOL), or whose length is zero or not finite, or vanishes
+    in the running sum.
     """
     if m < 1:
         raise ValueError("need at least one interval")
-    a = [float(x) for x in a]
-    b = [float(x) for x in b]
-    if not all(map(math.isfinite, a + b)):
+    a = list(map(float, a))
+    b = list(map(float, b))
+    # a finite sum shows every term finite; only an overflowing sum needs the term-wise test
+    if not math.isfinite(sum(a) + sum(b)) and not all(map(math.isfinite, a + b)):
         raise ValueError("coefficients must be finite")
     if b and min(b) <= 0:
         raise ValueError("off-diagonal coefficients must be positive")
     if m > 1 and (len(a) < m - 1 or len(b) < m - 1):
         raise ValueError("not enough coefficients for the requested interval count")
 
-    # theta_j, l_j, the gap theta_j - theta_{j-1} and its sine, carried from step to step
-    theta, length = math.pi / 2.0, 1.0
-    thetas, lengths = [theta], [length]
-    for j in range(1, m):
-        if j == 1:
-            theta_next = math.atan(a[0]) + math.pi
-        else:
-            c = -a[j - 1] * length - math.cos(gap) / s  # s is the previous step's sine, already checked
-            # acot branch mapping R onto (0, pi)
-            theta_next = theta + (math.pi / 2.0 - math.atan(c))
-        gap = theta_next - theta
-        s = math.sin(gap)
-        if abs(s) < _SIN_TOL:
-            raise DegenerateStepError(f"degenerate angle step at j={j}")
-        length = 1.0 / (length * b[j - 1] ** 2 * s * s)
-        theta = theta_next
-        thetas.append(theta)
-        lengths.append(length)
-    # cumsum adds in sequence, as a running sum would
-    return StepHamiltonian(np.concatenate([[0.0], np.cumsum(lengths)]), np.array(thetas))
+    cots, lengths = [], [1.0]
+    c, length = 0.0, 1.0
+    try:
+        for aj, bj in zip(a[: m - 1], b):
+            c = -aj * length - c
+            length = (1.0 + c * c) / (length * bj * bj)
+            cots.append(c)
+            lengths.append(length)
+    except ZeroDivisionError:  # l_{j-1} b_{j-1}^2 rounds to zero, so l_j has no finite value
+        cots.append(c)
+        lengths.append(math.inf)
+    n = len(lengths)
+    cot = np.fromiter(cots, float, n - 1)
+    thetas = np.arange(1.0, n + 1.0) * (math.pi / 2.0)
+    thetas[1:] -= np.arctan(cot).cumsum()  # cumsum adds in sequence, as a running sum would
+    with np.errstate(over="ignore"):  # an overflowing sum is caught below as a non-finite breakpoint
+        t = np.fromiter(lengths, float, n).cumsum()
+    gap = thetas[1:] - thetas[:-1]
+    bad = ~((t[1:] > t[:-1]) & (t[1:] < math.inf))
+    bad |= ~(gap > 0.0) | (np.abs(np.sin(gap)) < _SIN_TOL) | (np.abs(cot) >= 1.0 / _SIN_TOL)
+    if bad.any():
+        raise DegenerateStepError(f"degenerate angle step at j={int(bad.argmax()) + 1}")
+    return StepHamiltonian(np.concatenate(([0.0], t)), thetas)
 
 
 def hamiltonian_H0(m: int) -> StepHamiltonian:

@@ -26,6 +26,15 @@ def test_ratio_summary_gives_the_median_and_quartiles_of_the_round_ratios():
     assert ab_ops.ratio_summary([2.0], [1.0]) == "round ratio new/base: median 0.500, quartiles [0.500, 0.500] over 1 rounds"
 
 
+def test_p50_summary_gives_the_median_over_all_operations_and_its_ratio():
+    ab_ops = _load_tool()
+    # two rounds of a cheap and a dear operation: the median of all four falls between the two
+    # classes, 21 and 20 ms, where neither operation's own median (11 and 32 ms, 9 and 32) lies
+    base, new = [0.010, 0.030, 0.012, 0.034], [0.008, 0.030, 0.010, 0.034]
+    assert ab_ops.p50_summary(base, new) == "op_ms.p50: base 21.00, new 20.00, new/base 0.952"
+    assert ab_ops.p50_summary([0.002], [0.001]) == "op_ms.p50: base 2.00, new 1.00, new/base 0.500"
+
+
 def test_two_copies_of_one_tree_are_distinct_and_give_equal_bits(tmp_path):
     ab_ops = _load_tool()
     try:

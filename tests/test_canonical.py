@@ -203,9 +203,10 @@ class TestMCanonical:
 
     @pytest.mark.parametrize("lam", [1j, 2j])
     def test_work_below_twice_the_intervals_needed(self, lam, monkeypatch, anderson_coefficients):
-        # neighbouring interval lengths differ by up to 6.5e4 here: doubling the
-        # time instead of the count would advance about one interval per level
-        H = kac_algorithm(*anderson_coefficients, 128)
+        # neighbouring interval lengths differ by up to 8.2e4 here: doubling the
+        # time instead of the count would advance about one interval per level.
+        # 127 intervals are all the fixture gives before its degenerate step
+        H = kac_algorithm(*anderson_coefficients, 127)
         calls = []
 
         def counted(theta, l, z):

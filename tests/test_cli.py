@@ -345,12 +345,21 @@ class TestKac:
         assert "--m" in r.stderr
 
     def test_degenerate_step_is_a_precondition_error(self, tmp_path, anderson_coefficients):
-        # Anderson-type coefficients: the interval lengths grow until an angle step degenerates at j = 129
+        # Anderson-type coefficients: the interval lengths grow until an angle step degenerates at j = 127
         p = tmp_path / "anderson.json"
         p.write_text(BlockJacobi.of(*anderson_coefficients).to_json())
         r = run_cli("kac", str(p), "--m", "200")
         assert r.returncode == 3
-        assert "degenerate angle step at j=129" in r.stderr
+        assert r.stderr == "error: degenerate angle step at j=127\n"
+
+    @pytest.mark.parametrize("b0", [1e200, 1e-200])
+    def test_off_diagonal_whose_square_leaves_the_float_range(self, tmp_path, b0):
+        # finite coefficients that BlockJacobi accepts, where b_0^2 overflows or underflows
+        p = tmp_path / "j.json"
+        p.write_text(BlockJacobi.of([0.3, 0.0, 0.0], [b0, 1.0]).to_json())
+        r = run_cli("kac", str(p), "--m", "3")
+        assert r.returncode == 3
+        assert r.stderr == "error: degenerate angle step at j=1\n"
 
 
 class TestNonFiniteInput:

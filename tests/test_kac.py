@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -30,29 +31,52 @@ def hamiltonian_Hn_per_angle(H, n):
 
 
 def kac_algorithm_reference(a, b, m):
-    """The Kac loop as it read before it carried the last gap and its sine:
-    each step recomputes sin(theta_j - theta_{j-1}) from the stored angles.
-    kac_algorithm must give the same breakpoints and angles bit for bit."""
+    """kac_algorithm as a plain loop: c_j = cot(theta_j - theta_{j-1}) and l_j one
+    step at a time, each angle and breakpoint a running sum, each step checked as
+    it is taken.  kac_algorithm must give the same breakpoints and angles, and
+    stop at the same step, bit for bit.  The arctangents come from np.arctan on
+    the whole array, as in kac_algorithm: math.atan may round differently."""
     a, b = [float(x) for x in a], [float(x) for x in b]
-    thetas, lengths = [math.pi / 2.0], [1.0]
-    theta_prev = 0.0
+    cots, lengths = [], []
+    c, length = 0.0, 1.0
     for j in range(1, m):
-        if j == 1:
-            theta_next = math.atan(a[0]) + math.pi
-        else:
-            gap = thetas[-1] - theta_prev
-            s = math.sin(gap)
-            c = -a[j - 1] * lengths[-1] - math.cos(gap) / s
-            theta_next = thetas[-1] + (math.pi / 2.0 - math.atan(c))
-        gap_new = theta_next - thetas[-1]
-        s_new = math.sin(gap_new)
-        if abs(s_new) < 1e-14:
+        c = -a[j - 1] * length - c
+        length = (1.0 + c * c) / (length * b[j - 1] * b[j - 1])
+        cots.append(c)
+        lengths.append(length)
+    atans = np.arctan(np.array(cots)).tolist()
+    thetas, breakpoints, total = [math.pi / 2.0], [0.0, 1.0], 0.0
+    for j in range(1, m):
+        total += atans[j - 1]
+        theta = (j + 1) * (math.pi / 2.0) - total
+        gap, t = theta - thetas[-1], breakpoints[-1] + lengths[j - 1]
+        if not (gap > 0.0 and abs(math.sin(gap)) >= 1e-14 and abs(cots[j - 1]) < 1e14 and breakpoints[-1] < t < math.inf):
             raise DegenerateStepError(f"degenerate angle step at j={j}")
-        l_next = 1.0 / (lengths[-1] * b[j - 1] ** 2 * s_new * s_new)
-        theta_prev = thetas[-1]
-        thetas.append(theta_next)
-        lengths.append(l_next)
-    return np.concatenate([[0.0], np.cumsum(lengths)]), np.array(thetas)
+        thetas.append(theta)
+        breakpoints.append(t)
+    return np.array(breakpoints), np.array(thetas)
+
+
+def kac_oracle(a, b, m, dps=50):
+    """Breakpoints and angles of the first m intervals as mpmath numbers at dps
+    digits, from the angle form of the recursion: theta_1 = arctan(a_0) + pi,
+    l_j = 1/(l_{j-1} b_{j-1}^2 sin^2(theta_j - theta_{j-1})) and
+    theta_{j+1} = theta_j + pi/2 - arctan(-a_j l_j - cot(theta_j - theta_{j-1}))."""
+    mp = mpmath.mp
+    with mpmath.workdps(dps):
+        thetas, lengths = [mp.pi / 2], [mp.mpf(1)]
+        for j in range(1, m):
+            if j == 1:
+                theta = mpmath.atan(a[0]) + mp.pi
+            else:
+                c = -mp.mpf(a[j - 1]) * lengths[-1] - mpmath.cot(thetas[-1] - thetas[-2])
+                theta = thetas[-1] + mp.pi / 2 - mpmath.atan(c)
+            lengths.append(1 / (lengths[-1] * mp.mpf(b[j - 1]) ** 2 * mpmath.sin(theta - thetas[-1]) ** 2))
+            thetas.append(theta)
+        breakpoints = [mp.mpf(0)]
+        for length in lengths:
+            breakpoints.append(breakpoints[-1] + length)
+    return breakpoints, thetas
 
 
 class TestKacAlgorithm:
@@ -66,13 +90,36 @@ class TestKacAlgorithm:
             assert H.breakpoints.tobytes() == breakpoints.tobytes()
             assert H.thetas.tobytes() == thetas.tobytes()
 
-    def test_anderson_coefficients_degenerate_at_129(self, anderson_coefficients):
+    def test_anderson_coefficients_degenerate_at_127(self, anderson_coefficients):
+        # the stored gap theta_127 - theta_126 is zero: the true gap, 2.3e-14, is below
+        # an ulp of theta = 203.  The angles are exact to about an ulp here
+        # (TestKacOracle); when each gap came from differences of cumulative angles,
+        # they were a whole pi off by j = 128 and the stop read j = 129
         a, b = anderson_coefficients
         for kac in (kac_algorithm, kac_algorithm_reference):
-            with pytest.raises(DegenerateStepError, match="at j=129$"):
+            with pytest.raises(DegenerateStepError, match="at j=127$"):
                 kac(a, b, 200)
-        H = kac_algorithm(a, b, 129)  # the intervals before the degenerate step
-        assert H.thetas.tobytes() == kac_algorithm_reference(a, b, 129)[1].tobytes()
+        H = kac_algorithm(a, b, 127)  # the intervals before the degenerate step
+        assert H.thetas.tobytes() == kac_algorithm_reference(a, b, 127)[1].tobytes()
+        # the recursion itself gives out later: |c_j| first reaches 1/_SIN_TOL at
+        # j = 152, as in a 60-digit run
+        c, length = 0.0, 1.0
+        for j in range(1, 200):
+            c = -a[j - 1] * length - c
+            length = (1.0 + c * c) / (length * b[j - 1] * b[j - 1])
+            if abs(c) >= 1e14:
+                break
+        assert j == 152
+
+    @pytest.mark.parametrize("b0", [1e200, 1e-200])
+    def test_off_diagonal_whose_square_leaves_the_float_range(self, b0):
+        # b^2 overflows (l_j rounds to zero) or underflows (l_j is not finite)
+        for m in (2, 5):
+            with pytest.raises(DegenerateStepError, match="at j=1$"):
+                kac_algorithm([0.3, 0.0, 0.0, 0.0], [b0, 1.0, 1.0, 1.0], m)
+        with pytest.raises(DegenerateStepError, match="at j=2$"):
+            kac_algorithm([0.3, 0.0, 0.0], [1.0, b0, 1.0], 4)
+        assert len(kac_algorithm([0.3], [b0], 1).thetas) == 1  # one interval reads no coefficient
 
     def test_free_schroedinger_coefficients(self):
         m = 52
@@ -127,6 +174,32 @@ class TestKacAlgorithm:
             kac_algorithm([float("nan"), 0.0], [1.0, 1.0], 3)
         with pytest.raises(ValueError):
             kac_algorithm([0.0, 0.0], [1.0, float("inf")], 3)
+
+
+class TestKacOracle:
+    """kac_algorithm against a 50-digit run of the recursion: every breakpoint
+    within 1e-14 relative, every angle within 2 ulps.  Measured: at most 2.3e-15
+    and 1.32 ulps on the decaying data, 1.5e-15 and 1.26 ulps on the Anderson
+    data; differences of cumulative angles gave 2.6e-13 and 8.4 ulps on the
+    decaying data, and 6362 ulps on the Anderson data by m = 64."""
+
+    @staticmethod
+    def assert_near(H, oracle):
+        breakpoints, thetas = oracle
+        with mpmath.workdps(50):
+            bp_err = max(abs(mpmath.mpf(x) - y) / y for x, y in zip(H.breakpoints.tolist()[1:], breakpoints[1:]))
+            th_err = max(abs(mpmath.mpf(x) - y) / u for x, y, u in zip(H.thetas.tolist(), thetas, np.spacing(H.thetas).tolist()))
+        assert bp_err <= 1e-14
+        assert th_err <= 2
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_decaying_coefficients_at_length_2000(self, seed, decaying_coefficients):
+        a, b = decaying_coefficients(2000, seed)
+        self.assert_near(kac_algorithm(a, b, 2000), kac_oracle(a, b, 2000))
+
+    def test_anderson_coefficients_up_to_the_last_stored_step(self, anderson_coefficients):
+        a, b = anderson_coefficients
+        self.assert_near(kac_algorithm(a, b, 127), kac_oracle(a, b, 127))
 
 
 class TestEvaluateH:
@@ -213,7 +286,7 @@ class TestHamiltonianHn:
     @pytest.mark.parametrize("n", [1, 4, 16])
     def test_kac_of_shifted_coefficients_at_length_2000(self, seed, n, decaying_coefficients):
         # angles near 3000 have ulps near 4.5e-13, below an absolute tolerance's reach;
-        # measured at most 1, 3 and 8 ulps per angle and 1095 per breakpoint
+        # measured at most 1, 2 and 8 ulps per angle and 2, 3 and 4 per breakpoint
         a, b = decaying_coefficients(2000, seed)
         Hn = hamiltonian_Hn(kac_algorithm(a, b, 2000), n)
         shifted = kac_algorithm([0.0] * n + a, [1.0] * n + b, 2000 + n)

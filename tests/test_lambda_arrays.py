@@ -64,3 +64,22 @@ def test_a_stack_mixing_c_identity_with_other_matrices_gives_the_stacked_scalar_
     M = np.where(even, np.multiply.outer(M[..., 0, 0], np.eye(d)), M)
     want = np.array([gamma_hat(m, complex(z)) for m, z in zip(M.reshape(-1, d, d), lam.ravel())])
     assert np.array_equal(gamma_hat(M, lam), want.reshape(lam.shape + (d, d)))
+
+
+def test_one_point_array_equals_the_scalar_call():
+    # numpy can round the product of an (n,) coupling with a (1, n) array unlike that of two (n,)
+    # ones: m_resolvent of this chain at a one-point array once differed from its scalar call
+    J, lam = BlockJacobi.of([0.1257, -0.1321], [2.464 + 0.362j]), 0.640 + 2.243j
+    for shape in ((1,), (1, 1)):
+        assert np.array_equal(m_resolvent(J, np.full(shape, lam)), np.full(shape + (1, 1), m_resolvent(J, lam)))
+
+
+def test_one_point_arrays_on_random_short_chains():
+    # short chains with complex b, where the last bit differed on more than half of them
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        N = int(rng.integers(2, 5))
+        J = BlockJacobi.of(rng.standard_normal(N), rng.standard_normal(N - 1) + 1j * rng.standard_normal(N - 1) + 3)
+        lam = complex(rng.uniform(-3, 3), rng.uniform(0.2, 3) * rng.choice([-1, 1]))
+        for route in (m_resolvent, m_cf):
+            assert np.array_equal(route(J, np.array([lam])), route(J, lam)[None])

@@ -15,8 +15,12 @@ alternates from one operation to the next and, for each operation, from one
 round to the next.  Every output goes through its operation's own check.
 
 Prints the median time of each operation on both trees and their ratio, the
-median round, the median and quartiles of the per-round ratio new/base, and
-the count of failed checks; exits 1 when a check failed.  Run with the same
+median round, each tree's ``op_ms.p50`` (the median over every operation of
+the rounds whose check passed, as ``perfbench/worker.py`` computes it) and its
+ratio new/base, the median and quartiles of the per-round ratio new/base, and
+the count of failed checks; exits 1 when a check failed.  Where operations
+fall into cost classes, ``op_ms.p50`` sits between two of them, so the
+per-operation medians alone cannot size it.  Run with the same
 directory twice (an A/A run), the quartiles show the tool's own spread.  It
 sizes a change; a gain is still claimed from alternating pairs of
 ``perfbench/run.py`` runs.
@@ -99,6 +103,13 @@ def ratio_summary(base_rounds: list, new_rounds: list, unit: str = "round") -> s
     return f"{unit} ratio new/base: median {q[1]:.3f}, quartiles [{q[0]:.3f}, {q[2]:.3f}] over {len(ratios)} {unit}s"
 
 
+def p50_summary(base_durations: list, new_durations: list) -> str:
+    """Each tree's median operation time in ms over all rounds, as the benchmark's
+    op_ms.p50, and their ratio new/base, as one line."""
+    b, n = 1e3 * statistics.median(base_durations), 1e3 * statistics.median(new_durations)
+    return f"op_ms.p50: base {b:.2f}, new {n:.2f}, new/base {n / b:.3f}"
+
+
 def setup_pairs(srcs: list, workload: str, seed: int, pairs: int) -> tuple:
     """(base set-up times, new set-up times) from ``pairs`` pairs of perfbench/worker.py
     --setup-only processes; raises RuntimeError when a process fails."""
@@ -168,6 +179,7 @@ def main(argv=None) -> int:
         labels = [op.label for op in sides[0][2]]
         times = [[[] for _ in labels], [[] for _ in labels]]
         rounds = [[], []]
+        durations = [[], []]  # of the operations whose check passed, as the benchmark keeps them
         failures = [[], []]
         for r in range(args.rounds):
             total = [0.0, 0.0]
@@ -179,6 +191,8 @@ def main(argv=None) -> int:
                     times[side][i].append(dt)
                     total[side] += dt
                     failures[side] += bad
+                    if not bad:
+                        durations[side].append(dt)
             for side in (0, 1):
                 rounds[side].append(total[side])
 
@@ -189,6 +203,8 @@ def main(argv=None) -> int:
     for label, base, new in rows:
         b, n = 1e3 * statistics.median(base), 1e3 * statistics.median(new)
         print(f"{label:<{width}}{b:>10.1f}{n:>10.1f}{n / b:>10.3f}")
+    if durations[0] and durations[1]:
+        print(p50_summary(*durations))
     print(ratio_summary(*rounds))
     print(f"failed checks: base {len(failures[0])}, new {len(failures[1])}")
     for side, name in enumerate(TREES):
