@@ -374,6 +374,8 @@ class SampleSet:
             raise ValueError("one vector per sample point is required")
         if not (np.all(np.isfinite(self.points)) and np.all(self.points.imag != 0.0)):
             raise ValueError("sample points must be finite and off the real axis")
+        if not np.all(np.isfinite(self.vectors)):
+            raise ValueError("sample vectors must be finite")
 
     @classmethod
     def of(cls, points, vectors) -> "SampleSet":

@@ -17,6 +17,7 @@ returning their residual with the value.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import json
 import math
@@ -246,7 +247,7 @@ def _chain_reduction(j: BlockJacobi, lam):
     res[..., 1:] -= lo * x[..., :-1]
     res[..., :-1] -= up * x[..., 1:]
     res[..., 0] -= 1.0
-    return x[..., 0], np.max(np.abs(res))
+    return x[..., 0], np.abs(res).max()
 
 
 def _chain_fraction(j: BlockJacobi, lam):
@@ -259,7 +260,8 @@ def _chain_fraction(j: BlockJacobi, lam):
     lam on arrays, through the same operations; numpy's scalar and array
     divisions round alike, so an array lam gives the stacked calls' bits.
     """
-    shifted = j._diag.reshape((j.N,) + (1,) * np.ndim(lam)) - lam  # a_k - lam, the chain's axis first
+    # a_k - lam, the chain's axis first
+    shifted = j._diag - lam if isinstance(lam, complex) else j._diag.reshape((j.N,) + (1,) * lam.ndim) - lam
     with np.errstate(divide="raise", over="ignore", invalid="ignore"):  # divide: only a zero denominator
         y = shifted[-1]
         for c, w in zip(shifted[-2::-1], j._weights[::-1]):
@@ -431,7 +433,8 @@ def m_cf(J: BlockJacobi, lam) -> np.ndarray:
         m = _chain_fraction(K, at) if K.d == 1 else _star_tree(K, at)
     except (FloatingPointError, np.linalg.LinAlgError) as exc:
         raise PoleError(f"singular shift in the J-fraction at lambda={lam}") from exc
-    if not np.isfinite(m).all():
+    # a scalar chain at a scalar lam gives a numpy scalar, a complex: cmath tests it in a fiftieth of the time
+    if not (cmath.isfinite(m) if isinstance(m, complex) else np.isfinite(m).all()):
         raise PoleError(f"the J-fraction is not finite at lambda={lam}")
     m = m if scale is None else m * scale
     return _times_identity(m, J.d) if K.d == 1 else m

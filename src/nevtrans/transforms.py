@@ -9,12 +9,14 @@ iteration runs at fixed lam, on a whole lam array at once.  Realizations of
 the iterates as operators live in :mod:`nevtrans.realize`.
 
 A 1 x 1 value is inverted by a division (``herglotz._finite_inv``), never by
-LAPACK or an SVD.  ``gamma_hat`` takes one 1 x 1 value at a scalar lam
-through the same operations on numpy scalars, whose division rounds as
-numpy's array division does: an array lam gives the bits of the scalar
-calls, stacked.  A scalar lam stays a Python complex: ``gamma`` tests it
-against +-1 with ``abs`` and divides by the Python scalar lam^2 - 1, and
-lam I_d and the iteration's target m0 I_d are one product with I_d each.
+LAPACK or an SVD.  The scalar entry of ``gamma`` and ``gamma_hat``: one value
+that is 1 x 1 or c I_d (below) at a scalar lam is tested once, runs on its
+number c through the same operations on numpy scalars, whose division rounds
+as numpy's array division does, and its result array is built once.  So an
+array lam gives the bits of the scalar calls, stacked.  A scalar lam stays a
+Python complex: ``gamma`` tests it against +-1 with ``abs`` and divides by the
+Python scalar lam^2 - 1, and lam I_d and the iteration's m0 I_d are one
+product with I_d each.
 
 Gamma and Gamma_hat map the line C I_d into itself, and the fixed point
 m0 I_d lies on it, as do zero(d)'s value and the m-functions of a Kronecker
@@ -47,6 +49,8 @@ COND_WARN = 1e12
 #: ratios from there on measure rounding, not contraction
 RESIDUAL_FLOOR = 1e-14
 
+_COMPLEX = np.dtype(complex)  # numpy's built-in dtypes are singletons, so an identity test finds it
+
 
 def gamma(Mval: np.ndarray, lam) -> np.ndarray:
     """Value of the involution M^{-1}/(lam^2 - 1)."""
@@ -57,8 +61,12 @@ def gamma(Mval: np.ndarray, lam) -> np.ndarray:
         near = np.any(np.minimum(np.abs(lam - 1.0), np.abs(lam + 1.0)) < CUT_TOL)
     if near:
         raise ValueError(f"lam={lam} is within {CUT_TOL} of +-1, where the lam^2 - 1 factor vanishes")
-    Mval = np.atleast_2d(np.asarray(Mval, dtype=complex))
-    return _gamma(Mval, lam) if Mval.shape[-1] == 1 else _by_line(_gamma, Mval, lam)
+    return _by_line(_gamma, _gamma_one, Mval, lam)
+
+
+def _gamma_one(c: np.complex128, lam: complex) -> np.complex128:
+    """gamma of the 1 x 1 value c at a scalar lam, on numpy scalars."""
+    return _finite_recip(c) / (lam * lam - 1.0)
 
 
 def _gamma(Mval: np.ndarray, lam) -> np.ndarray:
@@ -81,18 +89,17 @@ def gamma_hat(Mval: np.ndarray, lam) -> np.ndarray:
     1 x 1 value at a scalar lam needs no test: its reciprocal takes a quarter of
     M + lam itself, with the same bits.  A value c I_d runs as its 1 x 1 value c.
     """
-    Mval, lam = np.atleast_2d(np.asarray(Mval, dtype=complex)), _as_complex(lam)
-    # _gamma_hat's first lines, run here too: the two calls that reach them there add 4-8 % to a d = 1 call
-    if Mval.shape == (1, 1) and isinstance(lam, complex):
-        return (-_finite_recip(Mval[0, 0] + lam))[None, None]
-    return _by_line(_gamma_hat, Mval, lam)
+    return _by_line(_gamma_hat, _gamma_hat_one, Mval, _as_complex(lam))
+
+
+def _gamma_hat_one(c: np.complex128, lam: complex) -> np.complex128:
+    """gamma_hat of the 1 x 1 value c at a scalar lam, on numpy scalars."""
+    return -_finite_recip(c + lam)
 
 
 def _gamma_hat(Mval: np.ndarray, lam) -> np.ndarray:
     """gamma_hat on the matrices that _by_line hands it; the prescaled retry recurses here, so
     that a call of gamma_hat stays one call of it."""
-    if Mval.shape == (1, 1) and isinstance(lam, complex):
-        return (-_finite_recip(Mval[0, 0] + lam))[None, None]
     s = _prescale(lam)
     if s is not None:
         s_ = np.asarray(s)[..., None, None]
@@ -112,12 +119,24 @@ def _on_line(M: np.ndarray, d: int):
     return on if on.any() and not on.all() else bool(on.all())
 
 
-def _by_line(f, M: np.ndarray, lam) -> np.ndarray:
-    """f(M, lam), where each matrix c I_d of M (d > 1, see _on_line) runs as its 1 x 1 value c
-    and comes back as c' I_d: the 1 x 1 call's bits on the diagonal, +0.0 off it.  A stack that
-    mixes such matrices with others runs as two stacks, so each matrix takes its scalar call's path."""
+def _by_line(f, one, M, lam) -> np.ndarray:
+    """f(M, lam) on the values M as a complex array of two or more axes, where each matrix c I_d
+    of M (d > 1, see _on_line) runs as its 1 x 1 value c and comes back as c' I_d: the 1 x 1
+    call's bits on the diagonal, +0.0 off it.  A stack that mixes such matrices with others runs
+    as two stacks, so each matrix takes its scalar call's path.
+
+    The scalar entry: one 1 x 1 or c I_d matrix at a scalar lam takes c' = one(c, lam) on numpy
+    scalars, whose arithmetic rounds as numpy's arrays do, and builds its array once."""
+    if not (type(M) is np.ndarray and M.dtype is _COMPLEX and M.ndim > 1):
+        M = np.atleast_2d(np.asarray(M, dtype=complex))
+    if M.shape == (1, 1) and isinstance(lam, complex):
+        return one(M[0, 0], lam)[None, None]  # a new array, viewing the new 0-d array that holds c'
     d = M.shape[-1]
     on = d > 1 and _on_line(M, d)
+    if M.ndim == 2 and on and isinstance(lam, complex):
+        out = np.zeros((d, d), dtype=complex)
+        out.ravel()[::d + 1] = one(M[0, 0], lam)
+        return out
     if isinstance(on, bool):
         return _times_identity(f(M[..., :1, :1], lam)[..., 0, 0], d) if on else f(M, lam)
     out = np.empty(np.broadcast_shapes(on.shape, np.shape(lam)) + (d, d), dtype=complex)
@@ -161,14 +180,12 @@ def iterate_gamma_hat(F: RealizedFunction, lam, n: int) -> IterationTrace:
     val = evaluate(F, lam)
     # Gamma_hat keeps c I_d on its line: iterate c
     val, d = (val[..., :1, :1], 1) if F.dim > 1 and _on_line(val, F.dim) is True else (val, F.dim)
-    target = _times_eye(m0_gammahat(lam), d)
-    values = np.empty((n,) + target.shape, dtype=complex)
-    for k in range(n):
-        values[k] = val = gamma_hat(val, lam)
-    # a 1 x 1 iterate's operator norm is the modulus; larger ones take one batched SVD over the
-    # stacked iterates, each matrix getting the singular values of its own call
-    err = values - target
-    res = np.abs(err[..., 0, 0]) if d == 1 else np.linalg.norm(err, 2, axis=(-2, -1))
-    ratios = np.divide(res[1:], res[:-1], out=np.zeros_like(res[1:]), where=res[:-1] > 0.0)
+    m0 = m0_gammahat(lam)  # before any step: a lam on its cut raises CutError first
+    values = np.array([val := gamma_hat(val, lam) for _ in range(n)])
+    # a 1 x 1 iterate's operator norm is the modulus of its distance to m0 (m0 I_1 differs from m0 at
+    # most in the sign of a zero part, which the modulus drops); larger ones take one batched SVD over
+    # the stacked iterates, each matrix getting the singular values of its own call
+    res = np.abs(values[..., 0, 0] - m0) if d == 1 else np.linalg.norm(values - _times_eye(m0, d), 2, axis=(-2, -1))
+    ratios = np.divide(res[1:], res[:-1], out=np.zeros(res[1:].shape), where=res[:-1] > 0.0)
     values = values if d == F.dim else _times_identity(values[..., 0, 0], F.dim)
     return IterationTrace(lam, values, res, ratios)

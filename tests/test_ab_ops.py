@@ -1,5 +1,5 @@
-"""tools/ab_ops.py: two copies of one tree import as distinct packages, the round-ratio summary and
-the set-up pairs' report."""
+"""tools/ab_ops.py: two copies of one tree import as distinct packages, the round-ratio summary, the
+operations around op_ms.p50 and the set-up pairs' report."""
 
 import importlib.util
 import os
@@ -33,6 +33,18 @@ def test_p50_summary_gives_the_median_over_all_operations_and_its_ratio():
     base, new = [0.010, 0.030, 0.012, 0.034], [0.008, 0.030, 0.010, 0.034]
     assert ab_ops.p50_summary(base, new) == "op_ms.p50: base 21.00, new 20.00, new/base 0.952"
     assert ab_ops.p50_summary([0.002], [0.001]) == "op_ms.p50: base 2.00, new 1.00, new/base 0.500"
+
+
+def test_p50_sides_name_the_operations_around_each_median():
+    ab_ops = _load_tool()
+    # the p50_summary example with labels: both medians fall between the cheap and the dear operation
+    base = [(0.010, "cheap"), (0.030, "dear"), (0.012, "cheap"), (0.034, "dear")]
+    new = [(0.008, "cheap"), (0.030, "dear"), (0.010, "cheap"), (0.034, "dear")]
+    assert ab_ops.p50_sides(base, new) == ("op_ms.p50 lies between: base cheap 12.00 and dear 30.00; "
+                                           "new cheap 10.00 and dear 30.00")
+    # an odd count: the median is one operation, named on both sides; equal times sort by label
+    odd = [(0.005, "b"), (0.002, "c"), (0.005, "a")]
+    assert ab_ops.p50_sides(odd, odd[:1]) == "op_ms.p50 lies between: base a 5.00 and a 5.00; new b 5.00 and b 5.00"
 
 
 def test_two_copies_of_one_tree_are_distinct_and_give_equal_bits(tmp_path):

@@ -501,6 +501,12 @@ class TestSampleSet:
             with pytest.raises(ValueError):
                 SampleSet.of([1j, 2j], vectors)
 
+    def test_rejects_non_finite_vectors(self):
+        # nevanlinna_gram and class_n0_interval_gram would return NaN: each entry is v_k* K(lam_k, lam_l) v_l
+        for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(np.inf, 1.0)):
+            with pytest.raises(ValueError, match="vectors must be finite"):
+                SampleSet.of([1j, 1 + 1j], [[bad], [1.0]])
+
     def test_holds_arrays(self):
         S = SampleSet.of([1j, 2 - 1j], [[1.0], [2.0]])
         assert S.points.dtype == complex and S.points.shape == (2,)
@@ -514,9 +520,9 @@ def _non_finite_calls():
 
     F = random_nevanlinna(1, 1, 3)
     Fm = F.measure_form()
-    J = jacobi.build_Jhat0(1, 5)
+    J, J3 = jacobi.build_Jhat0(1, 5), jacobi.build_Jhat0(3, 5)  # J3 runs as its scalar chain
     H = hamiltonian_H0(20)
-    one = np.eye(1, dtype=complex)
+    one, on_line = np.eye(1, dtype=complex), np.eye(3, dtype=complex)  # both take gamma's scalar entry
     return [
         ("evaluate realization", lambda lam: evaluate(F, lam)),
         ("evaluate measure", lambda lam: evaluate(Fm, lam)),
@@ -524,12 +530,16 @@ def _non_finite_calls():
         ("derivative measure", Fm.derivative),
         ("m_resolvent", lambda lam: jacobi.m_resolvent(J, lam)),
         ("m_cf", lambda lam: jacobi.m_cf(J, lam)),
+        ("m_resolvent Kronecker", lambda lam: jacobi.m_resolvent(J3, lam)),
+        ("m_cf Kronecker", lambda lam: jacobi.m_cf(J3, lam)),
         ("quadrature_m0", lambda lam: jacobi.quadrature_m0(lam, 100, 1)),
         ("sqrt_offcut", lambda lam: specialfn.sqrt_offcut(lam, 1.0)),
         ("m0_gamma", specialfn.m0_gamma),
         ("m0_gammahat", specialfn.m0_gammahat),
         ("gamma", lambda lam: transforms.gamma(one, lam)),
         ("gamma_hat", lambda lam: transforms.gamma_hat(one, lam)),
+        ("gamma c I_3", lambda lam: transforms.gamma(on_line, lam)),
+        ("gamma_hat c I_3", lambda lam: transforms.gamma_hat(on_line, lam)),
         ("iterate_gamma_hat", lambda lam: transforms.iterate_gamma_hat(F, lam, 3)),
         ("compressed_resolvent", lambda lam: realize.compressed_resolvent(F.T, F.K, lam)),
         ("compressed_resolvent_schur", lambda lam: realize.compressed_resolvent_schur(one, F.K, F.T, lam)),

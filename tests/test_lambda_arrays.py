@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from nevtrans.herglotz import evaluate, random_nevanlinna
 from nevtrans.jacobi import BlockJacobi, m_cf, m_resolvent
 from nevtrans.realize import compressed_resolvent
-from nevtrans.transforms import gamma_hat
+from nevtrans.transforms import gamma, gamma_hat
 
 
 @st.composite
@@ -51,6 +51,15 @@ def test_lambda_array_equals_stacked_scalar_calls(case):
     for name, M in (("evaluate", M), ("m_resolvent", m_resolvent(J, lam))):  # m I_d for a Kronecker J
         want = np.array([gamma_hat(m, complex(z)) for m, z in zip(M.reshape(-1, d, d), lam.ravel())])
         assert np.array_equal(gamma_hat(M, lam), want.reshape(lam.shape + (d, d))), f"gamma_hat of {name}"
+        # gamma's lam^2 - 1 is a numpy product at an array lam, which may round the last bit unlike
+        # Python's; a scalar call on a 1 x 1 or c I_d value keeps the bits of 1 / [[c]] as an array,
+        # divided by the Python complex lam^2 - 1
+        for m, z, g in zip(M.reshape(-1, d, d), map(complex, lam.ravel()), gamma(M, lam).reshape(-1, d, d)):
+            one = gamma(m, z)
+            assert np.all(np.abs(g - one) <= 4e-16 * (1.0 + np.abs(one))), f"gamma of {name}"
+            if d == 1 or np.array_equal(m, np.diag([m[0, 0]] * d)):
+                c = (1 / m[:1, :1]) / (z * z - 1.0)
+                assert one.tobytes() == np.diag([c[0, 0]] * d).tobytes(), f"gamma of {name}"
 
 
 @settings(max_examples=30)

@@ -44,6 +44,8 @@ class TestGamma:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for M, lam in ((np.zeros((2, 2)), 2j), (np.zeros((1, 1)), 2j),  # 1 x 1: no condition number
+                           ([[0.0]], 2j), (0, 2), (np.zeros((4, 4))[1::2, ::3], 2j),  # list, int, a (2, 2) view
+                           (np.zeros((2, 2))[:1, 1:], 2j), (np.zeros((6, 6))[::2, ::2], -1.5),  # (1, 1), 0 I_3 views
                            (np.array([[[1.0]], [[0.0]]]), np.array([2j, 3j])),  # one zero in an array
                            (np.zeros((3, 3)), 2j), (np.zeros((2, 3, 3)), np.array([2j, 3j]))):  # 0 I_3
                 with pytest.raises(np.linalg.LinAlgError):
@@ -73,12 +75,14 @@ class TestGamma:
         for lam in [p + q for p in (-1.0, 1.0) for y in ys for q in (y, -y, 1j * y, -1j * y)]:
             raised = []
             for arg in (complex(lam), np.array([lam])):
-                try:
-                    gamma(np.full(np.shape(arg) + (1, 1), 2.0 + 0.5j), arg)
-                    raised.append(False)
-                except ValueError:
-                    raised.append(True)
-            assert raised[0] == raised[1], lam
+                # 1 x 1, c I_3 and a list: at a scalar lam each takes the scalar entry
+                for M in (np.eye(1), np.eye(3), [[1.0]]):
+                    try:
+                        gamma(np.multiply.outer(np.full(np.shape(arg), 2.0 + 0.5j), M), arg)
+                        raised.append(False)
+                    except ValueError:
+                        raised.append(True)
+            assert len(set(raised)) == 1, lam
             outcomes.append(raised[0])
         assert True in outcomes and False in outcomes
 
@@ -155,17 +159,24 @@ class TestGammaHat:
                         gamma_hat(Mval, z)
 
     def test_one_by_one_extremes_match_the_array_call_and_mpmath(self):
-        # |M + lam| from 1e-300 to 1e300, both signs, along the real and the imaginary axis and one
-        # diagonal; M + lam is exact, since lam cancels the component M carries besides x
-        xs = [s * u * 10.0**k for k in range(-300, 301, 20) for s in (1, -1) for u in (1, 1j, 0.6 + 0.8j)]
+        # |M + lam| from 1e-305 to 1e305, both signs, along the real and the imaginary axis and one
+        # diagonal; M + lam is exact, since lam cancels the component M carries besides x.  Past
+        # (1e-300, 1e300) the scalar entry's reciprocal goes through herglotz._finite_inv
+        ks = [-305] + list(range(-300, 301, 20)) + [305]
+        xs = [s * u * 10.0**k for k in ks for s in (1, -1) for u in (1, 1j, 0.6 + 0.8j)]
         lams = np.array([1.5 if x.real == 0.0 else 1.5j for x in map(complex, xs)])
-        M = (np.array(xs) - lams)[:, None, None]
-        got = gamma_hat(M, lams)
-        with mpmath.workdps(50):
-            for Mk, lam, g in zip(M, lams, got):
-                assert np.array_equal(gamma_hat(Mk, complex(lam)), g)  # one value at a scalar lam: the same bits
-                want = -1 / (mpmath.mpc(Mk[0, 0]) + mpmath.mpc(lam))
-                assert abs(mpmath.mpc(g[0, 0]) - want) <= 4e-16 * abs(want)
+        with warnings.catch_warnings(), mpmath.workdps(50):
+            warnings.simplefilter("error")
+            # gamma takes M = x itself: lam^2 - 1 is 1.25 or -3.25 either way, exact in Python and numpy
+            for f, M, inverse in ((gamma_hat, (np.array(xs) - lams)[:, None, None], lambda m, z: -1 / (m + z)),
+                                  (gamma, np.array(xs)[:, None, None], lambda m, z: 1 / (m * (z * z - 1)))):
+                got = f(M, lams)
+                for Mk, lam, g in zip(M, lams, got):
+                    assert np.array_equal(f(Mk, complex(lam)), g)  # one value at a scalar lam: the same bits
+                    on_line = f(np.diag([Mk[0, 0]] * 3), complex(lam))  # c I_3: the same bits on the diagonal
+                    assert on_line.tobytes() == np.diag([g[0, 0]] * 3).tobytes()
+                    want = inverse(mpmath.mpc(Mk[0, 0]), mpmath.mpc(lam))
+                    assert abs(mpmath.mpc(g[0, 0]) - want) <= 4e-16 * abs(want)
 
     def test_a_lambda_near_the_float_maximum_is_prescaled(self, stacked):
         # |Re x| + |Im x| overflowed inside numpy's division and LAPACK, which flushed
@@ -230,6 +241,24 @@ class TestGammaHat:
         got, want = gamma(M, lam_grid), stacked(lambda lam: gamma(evaluate(F, lam), lam), lam_grid)
         assert np.all(np.abs(got - want) <= 4e-16 * (1.0 + np.abs(want)))
         assert gamma(M[0, 0], lam_grid[0, 0]).shape == gamma_hat(M[0, 0], lam_grid[0, 0]).shape == (d, d)
+        # at a scalar lam, a list, a non-contiguous view, a real value and a real or integer lam
+        # give the bits of the complex array call, and so does each matrix as c I_d; gamma's
+        # scalar call keeps the bits of M^{-1} / (lam^2 - 1) as an array division by a Python complex
+        wide = np.zeros((2 * d, 2 * d), dtype=complex)
+        for m, lam in zip(M.reshape(-1, d, d), map(complex, lam_grid.ravel())):
+            wide[::2, ::2] = m
+            for f in (gamma_hat, gamma):
+                want = f(m, lam)
+                for form in (m.tolist(), wide[::2, ::2]):
+                    assert f(form, lam).tobytes() == want.tobytes()
+                real = m.real.copy()
+                assert f(real, lam).tobytes() == f(real + 0j, lam).tobytes()
+                for z in (lam.real, 2, -3):
+                    assert f(m, z).tobytes() == f(m, complex(z)).tobytes()
+                assert f(np.diag([m[0, 0]] * d), lam).tobytes() == np.diag([f(m[:1, :1], lam)[0, 0]] * d).tobytes()
+            if d == 1:
+                assert gamma(m, lam).tobytes() == ((1 / m) / (lam * lam - 1.0)).tobytes()
+                assert gamma_hat(m[0, 0], lam).tobytes() == gamma_hat(m, lam).tobytes()  # a 0-d value
 
 
 @st.composite
@@ -302,6 +331,11 @@ class TestIterate:
             # residuals are distances to the closed-form fixed point, which numpy may round differently
             want = stacked(lambda lam: np.array(iterate_gamma_hat(F, lam, 6).residuals), lam_grid)
             assert np.all(np.abs(np.moveaxis(got.residuals, 0, -1) - want) <= 4e-16 * (1.0 + np.abs(traces).max()))
+            for lam in map(complex, lam_grid.ravel()):  # a 1 x 1 residual: the modulus of the distance to m0 I_1
+                tr = iterate_gamma_hat(F, lam, 6)
+                if d == 1 or F.variant == "measure":
+                    err = tr.values[:, :1, :1] - m0_gammahat(lam) * np.eye(1)
+                    assert tr.residuals.tobytes() == np.abs(err[:, 0, 0]).tobytes()
             assert len(got.ratios) == 5 and got.ratios[0].shape == lam_grid.shape
 
     def test_input_validation(self):

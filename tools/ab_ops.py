@@ -20,7 +20,9 @@ the rounds whose check passed, as ``perfbench/worker.py`` computes it) and its
 ratio new/base, the median and quartiles of the per-round ratio new/base, and
 the count of failed checks; exits 1 when a check failed.  Where operations
 fall into cost classes, ``op_ms.p50`` sits between two of them, so the
-per-operation medians alone cannot size it.  Run with the same
+per-operation medians alone cannot size it: one more line names, for each
+tree, the two operations on either side of its ``op_ms.p50`` and their
+times, so that a moved median says which class moved.  Run with the same
 directory twice (an A/A run), the quartiles show the tool's own spread.  It
 sizes a change; a gain is still claimed from alternating pairs of
 ``perfbench/run.py`` runs.
@@ -110,6 +112,17 @@ def p50_summary(base_durations: list, new_durations: list) -> str:
     return f"op_ms.p50: base {b:.2f}, new {n:.2f}, new/base {n / b:.3f}"
 
 
+def p50_sides(base_ops: list, new_ops: list) -> str:
+    """For each tree, the two operations on either side of its op_ms.p50, from its (seconds, label)
+    pairs: the two middle ones by time (the middle one twice for an odd count) with their ms, as one line."""
+    sides = []
+    for name, ops in (("base", base_ops), ("new", new_ops)):
+        ops = sorted(ops)
+        below, above = ops[(len(ops) - 1) // 2], ops[len(ops) // 2]
+        sides.append(f"{name} {below[1]} {1e3 * below[0]:.2f} and {above[1]} {1e3 * above[0]:.2f}")
+    return "op_ms.p50 lies between: " + "; ".join(sides)
+
+
 def setup_pairs(srcs: list, workload: str, seed: int, pairs: int) -> tuple:
     """(base set-up times, new set-up times) from ``pairs`` pairs of perfbench/worker.py
     --setup-only processes; raises RuntimeError when a process fails."""
@@ -179,7 +192,7 @@ def main(argv=None) -> int:
         labels = [op.label for op in sides[0][2]]
         times = [[[] for _ in labels], [[] for _ in labels]]
         rounds = [[], []]
-        durations = [[], []]  # of the operations whose check passed, as the benchmark keeps them
+        durations = [[], []]  # (seconds, label) of the operations whose check passed, as the benchmark keeps them
         failures = [[], []]
         for r in range(args.rounds):
             total = [0.0, 0.0]
@@ -192,7 +205,7 @@ def main(argv=None) -> int:
                     total[side] += dt
                     failures[side] += bad
                     if not bad:
-                        durations[side].append(dt)
+                        durations[side].append((dt, labels[i]))
             for side in (0, 1):
                 rounds[side].append(total[side])
 
@@ -204,7 +217,8 @@ def main(argv=None) -> int:
         b, n = 1e3 * statistics.median(base), 1e3 * statistics.median(new)
         print(f"{label:<{width}}{b:>10.1f}{n:>10.1f}{n / b:>10.3f}")
     if durations[0] and durations[1]:
-        print(p50_summary(*durations))
+        print(p50_summary(*([dt for dt, _ in ops] for ops in durations)))
+        print(p50_sides(*durations))
     print(ratio_summary(*rounds))
     print(f"failed checks: base {len(failures[0])}, new {len(failures[1])}")
     for side, name in enumerate(TREES):
